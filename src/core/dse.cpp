@@ -117,8 +117,8 @@ void fill_point(DesignPoint& p, const std::string& label,
 // engine under both sweep phases. `keys` and `restored` run parallel to
 // `idx`; restored slots are skipped, completed slots are journaled under
 // their key, and exceptions land in errors[j] without tearing down the other
-// points. `analytical` routes the point through est::estimate_network
-// (phase 1 of a screened sweep) instead of the cycle-exact simulator.
+// points. `analytical` retimes the point with est::estimate_retimed_layer
+// (phase 1 of a screened sweep) instead of the event timeline.
 void run_pass(
     const nn::Model& model,
     const std::vector<std::pair<std::string, sim::AcceleratorConfig>>& configs,
@@ -148,10 +148,9 @@ void run_pass(
                 validate_design(model, configs[i].second);
             if (!report.ok()) throw ValidationError(report.summary());
           }
-          const sim::NetworkResult net =
-              analytical
-                  ? est::estimate_network(model, configs[i].second, sim_opts)
-                  : sched::simulate_network(model, configs[i].second, sim_opts);
+          const sim::NetworkResult net = sched::simulate_network(
+              model, configs[i].second, sim_opts,
+              analytical ? est::estimate_retimed_layer : sim::retime_layer);
           DesignPoint& p = slots[i];
           fill_point(p, configs[i].first, configs[i].second, net, opt.units);
           if (opt.journal) opt.journal->append(keys[j], point_value_json(p));

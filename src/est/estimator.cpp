@@ -2,205 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <map>
-#include <stdexcept>
 
-#include "energy/model.h"
-#include "sched/fusion.h"
-#include "sched/residency.h"
 #include "sim/dram.h"
-#include "sim/schedule.h"
-#include "sim/sparsity.h"
 #include "sim/tiling.h"
 
 namespace sqz::est {
-
-namespace {
-
-/// One distinct value a blocked loop axis takes, with its multiplicity.
-struct Variant {
-  std::int64_t value = 0;
-  std::int64_t count = 0;
-};
-using Variants = std::array<Variant, 2>;
-
-/// An axis of extent `total` walked in blocks of `block` takes at most two
-/// values: the full block (total/block times) and the remainder (once).
-int block_variants(std::int64_t total, std::int64_t block, Variants& out) {
-  int n = 0;
-  if (total <= 0 || block <= 0) return 0;
-  if (total / block > 0) out[n++] = {block, total / block};
-  if (total % block > 0) out[n++] = {total % block, 1};
-  return n;
-}
-
-void scale_counts(sim::AccessCounts& c, std::int64_t k) {
-  c.mac_ops *= k;
-  c.rf_reads *= k;
-  c.rf_writes *= k;
-  c.inter_pe *= k;
-  c.acc_reads *= k;
-  c.acc_writes *= k;
-  c.gb_reads *= k;
-  c.gb_writes *= k;
-}
-
-double objective_value(const sim::LayerResult& r, sched::Objective objective,
-                       const energy::UnitEnergies& units) {
-  if (objective == sched::Objective::Cycles)
-    return static_cast<double>(r.total_cycles);
-  return energy::energy_of(r.counts, units).total();
-}
-
-}  // namespace
-
-sim::MappingResult estimate_ws_mapping(const nn::Layer& layer,
-                                       const sim::AcceleratorConfig& config) {
-  const sim::WsSchedule s = sim::WsSchedule::plan(layer, config);
-  const int n = config.array_n;
-
-  Variants cols, rows, taps;
-  const int ncols = block_variants(s.cout_pg, n, cols);
-  int nrows;
-  if (s.tap_pack > 1) {
-    // Tap packing keeps all input channels on the rows in one block.
-    rows[0] = {s.cin_pg, 1};
-    nrows = 1;
-  } else {
-    nrows = block_variants(s.cin_pg, n, rows);
-  }
-  const int ntaps = block_variants(s.kw, s.tap_pack, taps);
-
-  const std::int64_t nchunks = sim::ceil_div_i64(s.pixels, s.pixel_chunk);
-  const std::int64_t passes = static_cast<std::int64_t>(s.cin_blocks) * s.kh *
-                              s.tap_groups_per_row();
-
-  sim::MappingResult r;
-  // Preload + chain fill: the ceil() and `rows` terms depend on the
-  // (cols, rows, taps) triple, so enumerate the <= 8 variant combinations.
-  for (int i = 0; i < ncols; ++i)
-    for (int j = 0; j < nrows; ++j)
-      for (int k = 0; k < ntaps; ++k) {
-        const std::int64_t c = cols[i].value;
-        const std::int64_t bt = rows[j].value * taps[k].value;
-        const std::int64_t mult =
-            cols[i].count * rows[j].count * taps[k].count * s.kh * nchunks;
-        r.compute_cycles +=
-            mult * (sim::ceil_div_i64(bt * c, config.preload_width) + bt);
-      }
-  // Pixel streaming: every pass of every output block streams all pixels.
-  r.compute_cycles += static_cast<std::int64_t>(s.cout_blocks) * passes *
-                      s.pixels * s.stream_penalty;
-  r.compute_cycles *= s.groups;
-
-  // Access counts: the loop axes separate, so each sum collapses to a
-  // product of full-axis totals (sum of min(n, rem) blocks == the extent).
-  const std::int64_t wpg =
-      static_cast<std::int64_t>(s.cin_pg) * s.kh * s.kw;  // weights per out-chan
-  const std::int64_t mac = s.pixels * wpg * s.cout_pg;
-  sim::AccessCounts& cnt = r.counts;
-  cnt.mac_ops = mac;
-  cnt.rf_reads = mac;   // weight reg read per MAC
-  cnt.inter_pe = mac;   // psum chain hop per MAC
-  cnt.rf_writes = nchunks * wpg * s.cout_pg;  // stationary regs per chunk
-  cnt.gb_reads = cnt.rf_writes                // weights into the preload buf
-                 + static_cast<std::int64_t>(s.cout_blocks) * s.pixels *
-                       s.cin_pg * s.kh * s.tap_groups_per_row();  // streamed inputs
-  const std::int64_t psum_writes = passes * s.pixels * s.cout_pg;
-  const std::int64_t psum_reads = (passes - 1) * s.pixels * s.cout_pg;
-  if (config.ws_psums_in_gb) {
-    cnt.gb_writes += psum_writes;
-    cnt.gb_reads += psum_reads;
-  } else {
-    cnt.acc_writes = psum_writes;
-    cnt.acc_reads = psum_reads;
-  }
-  cnt.gb_writes += s.pixels * s.cout_pg;  // chunk commits to the GB
-  scale_counts(cnt, s.groups);
-  return r;
-}
-
-sim::MappingResult estimate_os_mapping(const nn::Layer& layer,
-                                       const sim::AcceleratorConfig& config,
-                                       double sparsity) {
-  const sim::OsSchedule s = sim::OsSchedule::plan(layer, config);
-  const sim::SparsityInfo sp = sim::SparsityInfo::expected(layer, sparsity);
-
-  Variants th, tw, ch;
-  const int nth = block_variants(s.oh, config.array_n, th);
-  const int ntw = block_variants(s.ow, config.array_n, tw);
-  const int nch = block_variants(s.cout_pg, config.rf_entries, ch);
-
-  sim::MappingResult r;
-  for (int i = 0; i < nth; ++i)
-    for (int j = 0; j < ntw; ++j) {
-      const int nh = static_cast<int>(th[i].value);
-      const int nw = static_cast<int>(tw[j].value);
-      const std::int64_t tiles = th[i].count * tw[j].count;
-      const std::int64_t block_pixels = s.block_pixels(nh, nw);
-      const std::int64_t load = s.load_cycles(nh, nw, config);
-      const std::int64_t tile_pes = static_cast<std::int64_t>(nh) * nw;
-      for (int k = 0; k < nch; ++k) {
-        const std::int64_t chunk = ch[k].value;
-        const std::int64_t mult = tiles * ch[k].count;
-        // Expected-sparsity broadcasts are uniform over (oc0, ic).
-        const std::int64_t broadcasts =
-            sp.nnz_chunk(0, static_cast<int>(chunk), 0);
-        const std::int64_t per_ic = s.loads_overlap_compute
-                                        ? std::max(load, broadcasts)
-                                        : load + broadcasts;
-        r.compute_cycles +=
-            mult * (sim::kOsTileOverheadCycles + s.cin_pg * per_ic +
-                    sim::ceil_div_i64(tile_pes * chunk, config.drain_width));
-        const std::int64_t macs = broadcasts * tile_pes;
-        r.counts.mac_ops += mult * s.cin_pg * macs;
-        r.counts.gb_reads += mult * s.cin_pg * (block_pixels + broadcasts);
-        r.counts.rf_writes += mult * s.cin_pg * (block_pixels + macs);
-        r.counts.rf_reads += mult * s.cin_pg * 2 * macs;
-        r.counts.inter_pe += mult * s.cin_pg * macs;
-        r.counts.gb_writes += mult * tile_pes * chunk;
-      }
-    }
-  r.compute_cycles *= s.groups;
-  scale_counts(r.counts, s.groups);
-  return r;
-}
-
-sim::LayerResult estimate_layer(const nn::Model& model, int layer_idx,
-                                const sim::AcceleratorConfig& config,
-                                sim::Dataflow dataflow,
-                                sim::TensorPlacement placement) {
-  const nn::Layer& l = model.layer(layer_idx);
-  if (l.kind == nn::LayerKind::Input)
-    throw std::invalid_argument("estimate_layer: cannot estimate the input layer");
-
-  const int batch = config.batch;
-  sim::LayerResult r;
-  if (l.is_macs_layer()) {
-    r.layer_idx = layer_idx;
-    r.layer_name = l.name;
-    r.useful_macs = l.macs() * batch;
-    r.on_pe_array = true;
-    r.dataflow = sim::effective_dataflow(l, config, dataflow);
-    if (r.dataflow == sim::Dataflow::WeightStationary) {
-      // Batch is folded into the WS pixel count by WsSchedule::plan.
-      const sim::MappingResult m = estimate_ws_mapping(l, config);
-      r.compute_cycles = m.compute_cycles;
-      r.counts = m.counts;
-    } else {
-      // OS repeats identically per image (same scaling as simulate_layer).
-      const double rate = config.os_zero_skip ? config.weight_sparsity : 0.0;
-      const sim::MappingResult m = estimate_os_mapping(l, config, rate);
-      r.compute_cycles = m.compute_cycles * batch;
-      r.counts = m.counts;
-      scale_counts(r.counts, batch);
-    }
-  } else {
-    r = sim::simd_layer_pre_dram(model, layer_idx, config);
-  }
-  return sim::finish_layer_result(model, layer_idx, config, std::move(r),
-                                  placement);
-}
 
 namespace {
 
@@ -336,81 +142,6 @@ sim::LayerResult estimate_retimed_layer(const nn::Model& model,
   r.counts.dram_words += e.halo;
   r.counts.gb_writes += e.halo;
   return r;
-}
-
-sim::NetworkResult estimate_network(const nn::Model& model,
-                                    const sim::AcceleratorConfig& config,
-                                    const sched::SimulationOptions& options) {
-  if (!model.finalized())
-    throw std::invalid_argument("estimate_network: model must be finalized");
-  config.validate();
-
-  const sched::ResidencyPlan plan = sched::plan_residency(model, config);
-
-  std::map<int, int> fused_conv_to_pool;
-  std::map<int, int> fused_pool_to_conv;
-  if (options.fuse_pool_drain) {
-    for (const sched::Fusion& f : sched::find_pool_fusions(model)) {
-      fused_conv_to_pool[f.conv_idx] = f.pool_idx;
-      fused_pool_to_conv[f.pool_idx] = f.conv_idx;
-    }
-  }
-
-  sim::NetworkResult result;
-  result.model_name = model.name();
-  result.config = config;
-  result.layers.reserve(
-      static_cast<std::size_t>(std::max(0, model.layer_count() - 1)));
-  for (int i = 1; i < model.layer_count(); ++i) {
-    const nn::Layer& l = model.layer(i);
-    sim::TensorPlacement placement = plan.placement_for(model, i);
-
-    // Dataflow selection on the pre-fusion placement, as select_dataflows
-    // does in the cycle-accurate path.
-    sim::LayerResult layer;
-    if (l.is_conv() && config.support == sim::DataflowSupport::Hybrid) {
-      sim::LayerResult ws = estimate_layer(
-          model, i, config, sim::Dataflow::WeightStationary, placement);
-      sim::LayerResult os = estimate_layer(
-          model, i, config, sim::Dataflow::OutputStationary, placement);
-      const bool take_ws = objective_value(ws, options.objective, options.units) <=
-                           objective_value(os, options.objective, options.units);
-      layer = take_ws ? std::move(ws) : std::move(os);
-    } else {
-      const sim::Dataflow df =
-          sim::effective_dataflow(l, config, sim::Dataflow::WeightStationary);
-      layer = estimate_layer(model, i, config, df, placement);
-    }
-
-    if (const auto conv_it = fused_conv_to_pool.find(i);
-        conv_it != fused_conv_to_pool.end()) {
-      // The conv's stored output is the pooled tensor; its residency follows
-      // the pool's keep decision.
-      const int pool_idx = conv_it->second;
-      placement.output_in_gb = plan.kept.at(static_cast<std::size_t>(pool_idx));
-      placement.output_words_override = model.layer(pool_idx).out_shape.elems();
-      layer = estimate_layer(model, i, config, layer.dataflow, placement);
-      layer.layer_name += "+pool";
-    } else if (fused_pool_to_conv.count(i) > 0) {
-      // The pool runs in the conv's drain path: bookkeeping entry only.
-      sim::LayerResult fused;
-      fused.layer_idx = i;
-      fused.layer_name = layer.layer_name + " (fused)";
-      fused.on_pe_array = false;
-      result.layers.push_back(std::move(fused));
-      continue;
-    }
-
-    if (options.tile_timeline) {
-      result.layers.push_back(estimate_retimed_layer(model, layer, config,
-                                                     placement,
-                                                     options.double_buffered,
-                                                     options.tile_search));
-    } else {
-      result.layers.push_back(std::move(layer));
-    }
-  }
-  return result;
 }
 
 }  // namespace sqz::est

@@ -1,69 +1,30 @@
-// Analytical fast-path estimator: closed-form per-layer cycle counts and
-// memory-hierarchy access counts computed directly from the tiling loop-nest
-// parameters — no per-iteration mapper walk, no event simulation.
+// Closed-form tile-timeline bound: the one approximation left in the
+// simulator, used by phase 1 of screened sweeps.
 //
-// The WS/OS loop nests (sim/mappers.cpp) are uniform except for boundary
-// remainders, so every loop axis takes at most two distinct values (a full
-// block and a remainder) with known multiplicities. Enumerating those
-// variants and multiplying by their counts reproduces the mapper sums —
-// including every ceil() term — exactly, in O(1) per layer instead of
-// O(loop-nest trip count). The memory-system tail reuses the simulator's own
-// finish_layer_result / simd_layer_pre_dram, so the two paths share one DRAM
-// and placement model by construction.
-//
-// The tile-timeline mode is the one genuinely approximated component: the
-// event-driven makespan (sim/timeline.h) is replaced by a closed-form
-// pipeline bound over the same row-band geometry (sim/tiling.h). The
-// validated accuracy contract — formulas, error bound, and when screening is
-// safe — lives in docs/ESTIMATOR.md and is enforced by tests/est.
+// Flat-mode mapping is already closed form (sim/mappers.cpp) and network
+// assembly is sched::simulate_network for every caller; a screened sweep
+// only swaps the per-layer retimer. estimate_retimed_layer replaces the
+// event-driven tile timeline (sim/timeline.h) with a closed-form pipeline
+// bound over the same row-band geometry (sim/tiling.h). The validated
+// accuracy contract — formulas, error bound, and when screening is safe —
+// lives in docs/ESTIMATOR.md and is enforced by tests/est.
 #pragma once
 
 #include "nn/model.h"
-#include "sched/network_sim.h"
 #include "sim/config.h"
-#include "sim/counters.h"
 #include "sim/layer_sim.h"
-#include "sim/mappers.h"
 
 namespace sqz::est {
 
-/// Closed-form equivalent of sim::map_weight_stationary. Exact: identical
-/// compute_cycles and counts for every layer/config (asserted by tests/est).
-sim::MappingResult estimate_ws_mapping(const nn::Layer& layer,
-                                       const sim::AcceleratorConfig& config);
-
-/// Closed-form equivalent of sim::map_output_stationary under the
-/// expected-sparsity provider at rate `sparsity` (the only provider sweeps
-/// use; measured-weight sparsity requires the real walk). Exact.
-sim::MappingResult estimate_os_mapping(const nn::Layer& layer,
-                                       const sim::AcceleratorConfig& config,
-                                       double sparsity);
-
-/// Closed-form equivalent of sim::simulate_layer (flat DRAM model, sparsity
-/// taken from the config exactly as the simulate_layer convenience overload
-/// does). Returns the same LayerResult shape; `timeline` is always empty.
-sim::LayerResult estimate_layer(const nn::Model& model, int layer_idx,
-                                const sim::AcceleratorConfig& config,
-                                sim::Dataflow dataflow,
-                                sim::TensorPlacement placement = {});
-
-/// Closed-form stand-in for sim::retime_layer: replaces the event-driven
-/// tile timeline with a pipeline bound over the same LayerDmaFacts band
-/// geometry. Approximate (see docs/ESTIMATOR.md for the bound); counts gain
-/// the same halo re-read traffic the real tiler adds.
+/// Closed-form stand-in for sim::retime_layer, with the same signature so
+/// it plugs into sched::simulate_network as the retimer. Approximate (see
+/// docs/ESTIMATOR.md for the bound); counts gain the same halo re-read
+/// traffic the real tiler adds.
 sim::LayerResult estimate_retimed_layer(const nn::Model& model,
                                         const sim::LayerResult& analytic,
                                         const sim::AcceleratorConfig& config,
                                         sim::TensorPlacement placement,
                                         bool double_buffered,
                                         bool search_tiles = false);
-
-/// Closed-form equivalent of sched::simulate_network: same residency plan,
-/// same per-layer dataflow selection by objective, same pool-drain fusion
-/// handling — every per-layer simulation replaced by estimate_layer (and
-/// retime by estimate_retimed_layer when options.tile_timeline is set).
-sim::NetworkResult estimate_network(const nn::Model& model,
-                                    const sim::AcceleratorConfig& config,
-                                    const sched::SimulationOptions& options = {});
 
 }  // namespace sqz::est

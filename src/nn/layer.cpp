@@ -1,5 +1,7 @@
 #include "nn/layer.h"
 
+#include "util/checked.h"
+
 namespace sqz::nn {
 
 const char* layer_kind_name(LayerKind kind) noexcept {
@@ -23,18 +25,20 @@ std::int64_t Layer::taps_per_output() const noexcept {
   return static_cast<std::int64_t>(conv.kh) * conv.kw * cin_per_group;
 }
 
-std::int64_t Layer::macs() const noexcept {
+std::int64_t Layer::macs() const {
   switch (kind) {
     case LayerKind::Conv:
-      return out_shape.elems() * taps_per_output();
+      return util::checked_mul(out_shape.elems(), taps_per_output(),
+                               "Layer::macs");
     case LayerKind::FullyConnected:
-      return in_shape.elems() * fc.out_features;
+      return util::checked_mul(in_shape.elems(), fc.out_features,
+                               "Layer::macs");
     default:
       return 0;
   }
 }
 
-std::int64_t Layer::params() const noexcept {
+std::int64_t Layer::params() const {
   switch (kind) {
     case LayerKind::Conv: {
       const std::int64_t cin_per_group = in_shape.c / conv.groups;

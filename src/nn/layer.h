@@ -80,10 +80,11 @@ struct Layer {
     return is_conv() && conv.kh == 1 && conv.kw == 1 && !is_depthwise();
   }
 
-  /// Multiply-accumulate count for this layer (0 for non-MAC layers).
-  std::int64_t macs() const noexcept;
+  /// Multiply-accumulate count for this layer (0 for non-MAC layers);
+  /// throws std::overflow_error rather than wrapping.
+  std::int64_t macs() const;
   /// Weight + bias parameter count (0 for parameterless layers).
-  std::int64_t params() const noexcept;
+  std::int64_t params() const;
   /// Filter-tap count per output channel (kh*kw*in_c/groups); 0 if not conv.
   std::int64_t taps_per_output() const noexcept;
 };

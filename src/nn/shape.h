@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <string>
 
+#include "util/checked.h"
+
 namespace sqz::nn {
 
 /// Channel-major 3-D activation shape (C, H, W). Batch is implicitly 1.
@@ -13,11 +15,14 @@ struct TensorShape {
   int h = 0;
   int w = 0;
 
-  std::int64_t elems() const noexcept {
-    return static_cast<std::int64_t>(c) * h * w;
+  /// Overflow-checked (util/checked.h): a hostile shape throws
+  /// std::overflow_error instead of wrapping.
+  std::int64_t elems() const {
+    return util::checked_mul(util::checked_mul(c, h, "TensorShape::elems"), w,
+                             "TensorShape::elems");
   }
   /// Size in bytes at the given word size (the accelerator uses 16-bit data).
-  std::int64_t bytes(int bytes_per_word) const noexcept {
+  std::int64_t bytes(int bytes_per_word) const {
     return elems() * bytes_per_word;
   }
 

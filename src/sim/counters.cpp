@@ -31,6 +31,20 @@ AccessCounts& AccessCounts::operator+=(const AccessCounts& o) {
   return *this;
 }
 
+AccessCounts& AccessCounts::operator*=(std::int64_t k) {
+  using util::checked_mul;
+  mac_ops = checked_mul(mac_ops, k, "AccessCounts: mac_ops");
+  rf_reads = checked_mul(rf_reads, k, "AccessCounts: rf_reads");
+  rf_writes = checked_mul(rf_writes, k, "AccessCounts: rf_writes");
+  inter_pe = checked_mul(inter_pe, k, "AccessCounts: inter_pe");
+  acc_reads = checked_mul(acc_reads, k, "AccessCounts: acc_reads");
+  acc_writes = checked_mul(acc_writes, k, "AccessCounts: acc_writes");
+  gb_reads = checked_mul(gb_reads, k, "AccessCounts: gb_reads");
+  gb_writes = checked_mul(gb_writes, k, "AccessCounts: gb_writes");
+  dram_words = checked_mul(dram_words, k, "AccessCounts: dram_words");
+  return *this;
+}
+
 std::int64_t NetworkResult::total_cycles() const {
   std::int64_t total = 0;
   for (const LayerResult& l : layers)

@@ -29,10 +29,11 @@ struct AccessCounts {
   std::int64_t gb_writes = 0;
   std::int64_t dram_words = 0;    ///< Words moved between DRAM and GB.
 
-  /// Overflow-checked accumulation (util/checked.h): wrapping any counter
-  /// throws std::overflow_error rather than silently corrupting totals on
-  /// absurd configurations.
+  /// Overflow-checked accumulation and scaling (util/checked.h): wrapping
+  /// any counter throws std::overflow_error rather than silently corrupting
+  /// totals on absurd configurations.
   AccessCounts& operator+=(const AccessCounts& o);
+  AccessCounts& operator*=(std::int64_t k);
   friend AccessCounts operator+(AccessCounts a, const AccessCounts& b) {
     a += b;
     return a;

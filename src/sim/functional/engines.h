@@ -6,8 +6,10 @@
 //     runtime (src/runtime/ops.h), proving the schedules compute the right
 //     convolution;
 //   * measured cycle and access counts — tested exactly equal to the
-//     analytical mappers (src/sim/mappers.h), proving the cycle model counts
-//     what the schedule actually does.
+//     closed-form mappers (src/sim/mappers.h), proving the cycle model counts
+//     what the schedule actually does. They are the only reference the
+//     mappers are checked against (tests/sim/test_functional_*, including
+//     the random-config fuzz with measured sparsity and FC layers).
 //
 // They are deliberately slow (they really do every MAC); tests run them on
 // small layers.

@@ -5,6 +5,7 @@
 
 #include "sim/dram.h"
 #include "sim/mappers.h"
+#include "util/checked.h"
 
 namespace sqz::sim {
 
@@ -54,19 +55,8 @@ std::int64_t input_words_total(const nn::Model& model, const nn::Layer& l) {
   return words;
 }
 
-}  // namespace
-
-Dataflow effective_dataflow(const nn::Layer& layer, const AcceleratorConfig& config,
-                            Dataflow requested) {
-  if (layer.is_fc()) return Dataflow::WeightStationary;
-  switch (config.support) {
-    case DataflowSupport::WsOnly: return Dataflow::WeightStationary;
-    case DataflowSupport::OsOnly: return Dataflow::OutputStationary;
-    case DataflowSupport::Hybrid: return requested;
-  }
-  return requested;
-}
-
+/// Pre-DRAM result of a non-MAC layer on the 1-D SIMD unit: compute cycles
+/// and global-buffer traffic for pool/ReLU/add/concat.
 LayerResult simd_layer_pre_dram(const nn::Model& model, int layer_idx,
                                 const AcceleratorConfig& config) {
   const nn::Layer& l = model.layer(layer_idx);
@@ -83,47 +73,10 @@ LayerResult simd_layer_pre_dram(const nn::Model& model, int layer_idx,
   return r;
 }
 
-LayerResult simulate_layer(const nn::Model& model, int layer_idx,
-                           const AcceleratorConfig& config, Dataflow dataflow,
-                           const SparsityInfo& sparsity, TensorPlacement placement) {
-  const nn::Layer& l = model.layer(layer_idx);
-  if (l.kind == nn::LayerKind::Input)
-    throw std::invalid_argument("simulate_layer: cannot simulate the input layer");
-
-  const int batch = config.batch;
-  LayerResult r;
-  if (l.is_macs_layer()) {
-    r.layer_idx = layer_idx;
-    r.layer_name = l.name;
-    r.useful_macs = l.macs() * batch;
-    r.on_pe_array = true;
-    r.dataflow = effective_dataflow(l, config, dataflow);
-    if (r.dataflow == Dataflow::WeightStationary) {
-      // The WS schedule streams all batch images through each stationary
-      // weight block (WsSchedule::plan folds batch into the pixel count).
-      const MappingResult m = map_weight_stationary(l, config);
-      r.compute_cycles = m.compute_cycles;
-      r.counts = m.counts;
-    } else {
-      // The OS schedule repeats identically per image.
-      const MappingResult m = map_output_stationary(l, config, sparsity);
-      r.compute_cycles = m.compute_cycles * batch;
-      r.counts = m.counts;
-      r.counts.mac_ops *= batch;
-      r.counts.rf_reads *= batch;
-      r.counts.rf_writes *= batch;
-      r.counts.inter_pe *= batch;
-      r.counts.acc_reads *= batch;
-      r.counts.acc_writes *= batch;
-      r.counts.gb_reads *= batch;
-      r.counts.gb_writes *= batch;
-    }
-  } else {
-    r = simd_layer_pre_dram(model, layer_idx, config);
-  }
-  return finish_layer_result(model, layer_idx, config, std::move(r), placement);
-}
-
+/// The memory-system tail of simulate_layer: apply the fused-drain stored-
+/// output override, account DRAM traffic (weights + spilled activations) and
+/// its global-buffer echoes, and compose total_cycles from the double-
+/// buffered DRAM model. `r` carries the pre-DRAM state.
 LayerResult finish_layer_result(const nn::Model& model, int layer_idx,
                                 const AcceleratorConfig& config, LayerResult r,
                                 TensorPlacement placement) {
@@ -161,6 +114,54 @@ LayerResult finish_layer_result(const nn::Model& model, int layer_idx,
   r.dram_cycles = dram.transfer_cycles(dram_words);
   r.total_cycles = r.compute_cycles + dram.exposed_cycles(dram_words, r.compute_cycles);
   return r;
+}
+
+}  // namespace
+
+Dataflow effective_dataflow(const nn::Layer& layer, const AcceleratorConfig& config,
+                            Dataflow requested) {
+  if (layer.is_fc()) return Dataflow::WeightStationary;
+  switch (config.support) {
+    case DataflowSupport::WsOnly: return Dataflow::WeightStationary;
+    case DataflowSupport::OsOnly: return Dataflow::OutputStationary;
+    case DataflowSupport::Hybrid: return requested;
+  }
+  return requested;
+}
+
+LayerResult simulate_layer(const nn::Model& model, int layer_idx,
+                           const AcceleratorConfig& config, Dataflow dataflow,
+                           const SparsityInfo& sparsity, TensorPlacement placement) {
+  const nn::Layer& l = model.layer(layer_idx);
+  if (l.kind == nn::LayerKind::Input)
+    throw std::invalid_argument("simulate_layer: cannot simulate the input layer");
+
+  const int batch = config.batch;
+  LayerResult r;
+  if (l.is_macs_layer()) {
+    r.layer_idx = layer_idx;
+    r.layer_name = l.name;
+    r.useful_macs = l.macs() * batch;
+    r.on_pe_array = true;
+    r.dataflow = effective_dataflow(l, config, dataflow);
+    if (r.dataflow == Dataflow::WeightStationary) {
+      // The WS schedule streams all batch images through each stationary
+      // weight block (WsSchedule::plan folds batch into the pixel count).
+      const MappingResult m = map_weight_stationary(l, config);
+      r.compute_cycles = m.compute_cycles;
+      r.counts = m.counts;
+    } else {
+      // The OS schedule repeats identically per image.
+      const MappingResult m = map_output_stationary(l, config, sparsity);
+      r.compute_cycles =
+          util::checked_mul(m.compute_cycles, batch, "os compute_cycles");
+      r.counts = m.counts;
+      r.counts *= batch;
+    }
+  } else {
+    r = simd_layer_pre_dram(model, layer_idx, config);
+  }
+  return finish_layer_result(model, layer_idx, config, std::move(r), placement);
 }
 
 LayerResult simulate_layer(const nn::Model& model, int layer_idx,

@@ -48,24 +48,6 @@ LayerResult simulate_layer(const nn::Model& model, int layer_idx,
 Dataflow effective_dataflow(const nn::Layer& layer, const AcceleratorConfig& config,
                             Dataflow requested);
 
-/// Pre-DRAM result of a non-MAC layer on the 1-D SIMD unit: compute cycles
-/// and global-buffer traffic for pool/ReLU/add/concat, before
-/// finish_layer_result adds the memory-system terms. Closed form — shared
-/// verbatim by the analytical estimator (src/est).
-LayerResult simd_layer_pre_dram(const nn::Model& model, int layer_idx,
-                                const AcceleratorConfig& config);
-
-/// The memory-system tail of simulate_layer: apply the fused-drain stored-
-/// output override, account DRAM traffic (weights + spilled activations) and
-/// its global-buffer echoes, and compose total_cycles from the double-
-/// buffered DRAM model. `r` must carry the pre-DRAM state (compute_cycles,
-/// hierarchy counts, useful_macs, on_pe_array, dataflow). Exposed so the
-/// analytical estimator (src/est) composes its closed-form mappings through
-/// exactly this model — the two paths cannot drift apart.
-LayerResult finish_layer_result(const nn::Model& model, int layer_idx,
-                                const AcceleratorConfig& config, LayerResult r,
-                                TensorPlacement placement);
-
 // Implemented in timeline_sim.cpp: re-times an analytically simulated layer
 // through the tile-level event timeline (sim/timeline.h). `double_buffered =
 // false` models a single staging buffer (the paper's double-buffering claim

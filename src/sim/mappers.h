@@ -1,9 +1,21 @@
 // Analytical dataflow mappers: cycle counts and hierarchy access counts for
 // executing one layer on the PE array under each dataflow.
 //
-// Both mappers mirror the operation sequences of paper §4.1.2 exactly; the
-// functional emulators in src/sim/functional execute the same schedules
-// operand-by-operand, and tests assert the two agree.
+// Both mappers count the operation sequences of paper §4.1.2 in closed form
+// (docs/ESTIMATOR.md). The schedules' loop nests (sim/schedule.h) are
+// uniform except at boundary remainders, so every blocked loop axis takes at
+// most two values — the full block and the remainder — with known
+// multiplicities; summing over those variants reproduces every per-tile,
+// per-pass term, ceil()s included, without walking the nest. Cost is O(1)
+// per layer, plus one pass over the per-chunk non-zero sums for a measured
+// sparsity provider. All arithmetic is overflow-checked: a hostile shape
+// throws std::overflow_error naming the term instead of wrapping.
+//
+// The functional emulators in src/sim/functional execute the same schedules
+// operand-by-operand and are the oracle: tests assert exact agreement
+// (tests/sim/test_functional_*), and tests/data/mapping_golden.txt pins the
+// zoo numbers, including the expected-sparsity provider the emulators
+// cannot exercise.
 //
 // Weight-stationary (WS) — TPU-like matrix-vector engine:
 //   The N x N array holds an N x N block of the (input-channel x

@@ -1,77 +1,51 @@
 #include "sim/noc.h"
 
-#include <algorithm>
-
 #include "sim/schedule.h"
 
 namespace sqz::sim {
 
 namespace {
 
+// Closed forms over the same schedules the mappers count (mappers.h): the
+// blocked loop axes sum to their full extents, so no loop nest is walked.
+
 WireTraffic ws_wires(const nn::Layer& layer, const AcceleratorConfig& config) {
   const WsSchedule s = WsSchedule::plan(layer, config);
-  const int n = config.array_n;
+  const std::int64_t psums = static_cast<std::int64_t>(s.groups) * s.pixels *
+                             s.cout_pg;  // column sums per pass
   WireTraffic w;
-  for (int grp = 0; grp < s.groups; ++grp) {
-    for (int ob = 0; ob < s.cout_blocks; ++ob) {
-      const int cols_used = std::min(n, s.cout_pg - ob * n);
-      for (std::int64_t px0 = 0; px0 < s.pixels; px0 += s.pixel_chunk) {
-        const std::int64_t qc = std::min(s.pixel_chunk, s.pixels - px0);
-        for (int cb = 0; cb < s.cin_blocks; ++cb) {
-          const int base_rows =
-              s.tap_pack > 1 ? s.cin_pg : std::min(n, s.cin_pg - cb * n);
-          for (int ky = 0; ky < s.kh; ++ky) {
-            for (int kxg = 0; kxg < s.tap_groups_per_row(); ++kxg) {
-              const std::int64_t rows =
-                  static_cast<std::int64_t>(base_rows) * s.taps_in_group(kxg);
-              // Each streamed cycle broadcasts `rows` input words along
-              // their row wires (span = active columns)...
-              w.broadcast_segment_hops += qc * rows * cols_used;
-              // ...and every MAC's product hops one link down the chain.
-              w.shift_hops += qc * rows * cols_used;
-              // Column sums exit at the chain bottom: one hop per psum.
-              w.drain_hops += qc * cols_used;
-            }
-          }
-        }
-      }
-    }
-  }
+  // Each streamed cycle broadcasts its active rows' input words along their
+  // row wires (span = active columns), and every MAC's product hops one
+  // link down the chain: one segment hop of each per MAC.
+  w.broadcast_segment_hops = psums * s.cin_pg * s.kh * s.kw;
+  w.shift_hops = w.broadcast_segment_hops;
+  // Column sums exit at the chain bottom: one hop per psum per pass.
+  w.drain_hops = psums * s.cin_blocks * s.kh * s.tap_groups_per_row();
   return w;
 }
 
 WireTraffic os_wires(const nn::Layer& layer, const AcceleratorConfig& config,
                      const SparsityInfo& sparsity) {
   const OsSchedule s = OsSchedule::plan(layer, config);
-  const int n = config.array_n;
-  const int rf = config.rf_entries;
-  WireTraffic w;
-  for (int ty = 0; ty < s.tiles_y; ++ty) {
-    const int nh = std::min(n, s.oh - ty * n);
-    for (int tx = 0; tx < s.tiles_x; ++tx) {
-      const int nw = std::min(n, s.ow - tx * n);
-      const std::int64_t tile_pes = static_cast<std::int64_t>(nh) * nw;
-      // Drain: each PE's outputs travel its row distance to the bottom row
-      // plus one exit hop; summed over rows: nw * sum_r (nh - r) hops.
-      std::int64_t tile_drain_hops = 0;
-      for (int r = 0; r < nh; ++r)
-        tile_drain_hops += static_cast<std::int64_t>(nw) * (nh - r);
+  const std::int64_t n = config.array_n;
+  // Weight broadcasts of one tile, over every (group, chunk, input) pass.
+  std::int64_t broadcasts = 0;
+  for (const SparsityInfo::BroadcastRun& b : sparsity.os_broadcasts(
+           s.groups, s.cout_pg, s.cin_pg, config.rf_entries))
+    broadcasts += b.broadcasts * b.passes;
+  // Drain: each PE's outputs travel its row distance to the bottom row plus
+  // one exit hop, nh(nh+1)/2 hops per tile column; summed over tile rows.
+  const std::int64_t rem = s.oh % n;
+  const std::int64_t column_drain =
+      (s.oh / n) * n * (n + 1) / 2 + rem * (rem + 1) / 2;
 
-      for (int grp = 0; grp < s.groups; ++grp) {
-        for (int oc0 = 0; oc0 < s.cout_pg; oc0 += rf) {
-          const int chunk = std::min(rf, s.cout_pg - oc0);
-          std::int64_t broadcasts = 0;
-          for (int icg = 0; icg < s.cin_pg; ++icg)
-            broadcasts += sparsity.nnz_chunk(grp * s.cout_pg + oc0, chunk, icg);
-          // Weight broadcast bus spans the whole array per broadcast cycle.
-          w.broadcast_segment_hops += broadcasts * static_cast<std::int64_t>(n);
-          // Every MAC's input arrived via a one-hop mesh shift.
-          w.shift_hops += broadcasts * tile_pes;
-          w.drain_hops += tile_drain_hops * chunk;
-        }
-      }
-    }
-  }
+  WireTraffic w;
+  // The weight broadcast bus spans the whole array per broadcast cycle.
+  w.broadcast_segment_hops =
+      static_cast<std::int64_t>(s.tiles_y) * s.tiles_x * broadcasts * n;
+  // Every MAC's input arrived via a one-hop mesh shift.
+  w.shift_hops = broadcasts * s.oh * s.ow;
+  w.drain_hops = column_drain * s.ow * s.groups * s.cout_pg;
   return w;
 }
 

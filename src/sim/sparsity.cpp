@@ -1,7 +1,10 @@
 #include "sim/sparsity.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+
+#include "util/checked.h"
 
 namespace sqz::sim {
 
@@ -58,6 +61,30 @@ std::int64_t SparsityInfo::nnz_chunk(int oc0, int count, int ic) const {
   }
   (void)ic;  // expected mode is uniform over input channels
   return static_cast<std::int64_t>(std::llround(expected_plane_nnz_ * count));
+}
+
+std::vector<SparsityInfo::BroadcastRun> SparsityInfo::os_broadcasts(
+    int groups, int cout_pg, int cin_pg, int chunk) const {
+  std::vector<BroadcastRun> runs;
+  if (exact_ == nullptr) {
+    // Uniform over channels: only the chunk width sets the broadcast count.
+    const std::int64_t planes =
+        util::checked_mul(groups, cin_pg, "os broadcast planes");
+    if (cout_pg / chunk > 0)
+      runs.push_back({nnz_chunk(0, chunk, 0),
+                      util::checked_mul(planes, cout_pg / chunk,
+                                        "os broadcast passes")});
+    if (cout_pg % chunk > 0)
+      runs.push_back({nnz_chunk(0, cout_pg % chunk, 0), planes});
+    return runs;
+  }
+  for (int grp = 0; grp < groups; ++grp)
+    for (int oc0 = 0; oc0 < cout_pg; oc0 += chunk)
+      for (int ic = 0; ic < cin_pg; ++ic)
+        runs.push_back({nnz_chunk(grp * cout_pg + oc0,
+                                  std::min(chunk, cout_pg - oc0), ic),
+                        1});
+  return runs;
 }
 
 }  // namespace sqz::sim

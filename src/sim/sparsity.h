@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "nn/layer.h"
 #include "runtime/tensor.h"
@@ -35,6 +36,19 @@ class SparsityInfo {
   /// at global channel `oc0`, for in-group channel `ic`. This is the number
   /// of broadcast cycles the OS dataflow spends on that (chunk, ic) pass.
   std::int64_t nnz_chunk(int oc0, int count, int ic) const;
+
+  /// `passes` OS passes that each broadcast `broadcasts` weights.
+  struct BroadcastRun {
+    std::int64_t broadcasts = 0;
+    std::int64_t passes = 0;
+  };
+  /// Broadcast cycles of every OS pass over one output tile — one pass per
+  /// (group, `chunk`-wide output-channel chunk, in-group input channel) —
+  /// as runs. The expected and dense providers are uniform over channels
+  /// and yield at most two runs (full chunk, remainder chunk); the measured
+  /// provider yields one run per pass.
+  std::vector<BroadcastRun> os_broadcasts(int groups, int cout_pg, int cin_pg,
+                                          int chunk) const;
 
  private:
   SparsityInfo() = default;

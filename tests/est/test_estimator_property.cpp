@@ -1,6 +1,6 @@
 // Seeded property tests over random model x config pairs:
-//  * the estimator stays within the documented bound of the simulator
-//    (exact in flat mode, <= kTimelineBoundPct with the tile timeline);
+//  * the closed-form timeline bound stays within kTimelineBoundPct of the
+//    event-driven timeline;
 //  * the estimate is monotone in PE count — scaling the array up (with its
 //    feed/drain ports scaled alongside) never estimates a slower network.
 #include "est/estimator.h"
@@ -59,18 +59,6 @@ sim::AcceleratorConfig random_config(util::Rng& rng) {
   return c;
 }
 
-TEST(EstimatorProperty, FlatExactOnRandomPairs) {
-  util::Rng rng(kSeed);
-  for (int trial = 0; trial < 60; ++trial) {
-    const nn::Model m = random_model(rng, trial);
-    const sim::AcceleratorConfig cfg = random_config(rng);
-    const sim::NetworkResult ref = sched::simulate_network(m, cfg);
-    const sim::NetworkResult est = estimate_network(m, cfg);
-    EXPECT_EQ(est.total_cycles(), ref.total_cycles()) << m.name();
-    EXPECT_EQ(est.total_counts(), ref.total_counts()) << m.name();
-  }
-}
-
 TEST(EstimatorProperty, TimelineWithinBoundOnRandomPairs) {
   util::Rng rng(kSeed ^ 0x71e11e);
   sched::SimulationOptions opt;
@@ -80,7 +68,8 @@ TEST(EstimatorProperty, TimelineWithinBoundOnRandomPairs) {
     const sim::AcceleratorConfig cfg = random_config(rng);
     opt.tile_search = rng.next_bernoulli(0.5);
     const sim::NetworkResult ref = sched::simulate_network(m, cfg, opt);
-    const sim::NetworkResult est = estimate_network(m, cfg, opt);
+    const sim::NetworkResult est =
+        sched::simulate_network(m, cfg, opt, estimate_retimed_layer);
     const double ref_cycles = static_cast<double>(ref.total_cycles());
     const double err =
         100.0 * std::abs(static_cast<double>(est.total_cycles()) - ref_cycles) /
@@ -104,8 +93,14 @@ TEST(EstimatorProperty, MonotoneInPeCount) {
     big.preload_width = small.preload_width * 2;
     big.drain_width = small.drain_width * 2;
     big.psum_accum_words = small.psum_accum_words * 2;
-    const std::int64_t cycles_small = estimate_network(m, small).total_cycles();
-    const std::int64_t cycles_big = estimate_network(m, big).total_cycles();
+    const std::int64_t cycles_small =
+        sched::simulate_network(m, small, sched::SimulationOptions{},
+                                estimate_retimed_layer)
+            .total_cycles();
+    const std::int64_t cycles_big =
+        sched::simulate_network(m, big, sched::SimulationOptions{},
+                                estimate_retimed_layer)
+            .total_cycles();
     EXPECT_LE(cycles_big, cycles_small)
         << m.name() << " n=" << small.array_n << " -> " << big.array_n;
   }

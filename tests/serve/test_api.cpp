@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <string>
 
@@ -173,6 +174,32 @@ TEST(Api, RunSimulateMatchesTheCoreReport) {
       sched::simulate_network(req.model, req.config, req.options);
   EXPECT_EQ(run_simulate(req),
             core::json_report_string(req.model, result, req.options.units));
+}
+
+TEST(Api, HostileShapeIsRefusedQuicklyNamingTheOverflow) {
+  // A two-line model whose shape arithmetic overflows int64. A per-tile
+  // loop walk would spin for minutes here; the closed-form mappers and the
+  // checked shape arithmetic must refuse it with a 400 almost at once, flat
+  // and with timeline + tile search alike.
+  const std::string model_text =
+      R"(model ovf input 4096x2000000000x2000000000\n)"
+      R"(conv name=c out=16 kernel=3x3 pad=1x1)";
+  for (const char* options : {"{}", R"({"tile_search":true})"}) {
+    const std::string body = R"({"model_text":")" + model_text +
+                             R"(","options":)" + options + "}";
+    const auto start = std::chrono::steady_clock::now();
+    try {
+      run_simulate(parse_simulate_request(body));
+      ADD_FAILURE() << "expected ApiError for options " << options;
+    } catch (const ApiError& e) {
+      EXPECT_EQ(e.status(), 400) << options;
+      EXPECT_NE(std::string(e.what()).find("overflows int64"),
+                std::string::npos)
+          << "message '" << e.what() << "' does not name the overflow";
+    }
+    EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1))
+        << options;
+  }
 }
 
 TEST(Api, SimServiceServesRepeatsFromCache) {

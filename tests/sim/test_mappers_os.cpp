@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <tuple>
 
 #include "nn/model.h"
@@ -98,6 +100,19 @@ TEST(OsMapper, DepthwiseIsEfficientPerChannel) {
   const double ratio = static_cast<double>(ws.compute_cycles) /
                        static_cast<double>(os.compute_cycles);
   EXPECT_GT(ratio, 10.0);
+}
+
+TEST(OsMapper, OverflowThrowsNamingTheTerm) {
+  // 4e18 output pixels fit int64, but 9 taps x 60% non-zero broadcasts
+  // per pixel do not: the closed form must refuse rather than wrap.
+  const nn::Model m = conv_model(1, 2000000000, 1, 3, 1, 1);
+  try {
+    (void)map_output_stationary(m.layer(1), kCfg, expected_sparsity(m.layer(1)));
+    FAIL() << "expected std::overflow_error";
+  } catch (const std::overflow_error& e) {
+    EXPECT_NE(std::string(e.what()).find("os mac_ops"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(OsMapper, RejectsFc) {

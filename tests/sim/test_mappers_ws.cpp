@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <tuple>
 
 #include "nn/model.h"
@@ -31,6 +33,20 @@ TEST(WsMapper, ExecutesExactlyUsefulMacs) {
   const nn::Model m = conv_model(16, 20, 32, 3, 1, 1);
   const MappingResult r = map_weight_stationary(m.layer(1), kCfg);
   EXPECT_EQ(r.counts.mac_ops, m.layer(1).macs());
+}
+
+TEST(WsMapper, OverflowThrowsNamingTheTerm) {
+  // 4e18 output pixels fit int64, but streaming them once per pass does
+  // not: the closed form must refuse rather than wrap.
+  const nn::Model m = conv_model(1, 2000000000, 1, 3, 1, 1);
+  try {
+    (void)map_weight_stationary(m.layer(1), kCfg);
+    FAIL() << "expected std::overflow_error";
+  } catch (const std::overflow_error& e) {
+    EXPECT_NE(std::string(e.what()).find("ws stream cycles"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(WsMapper, CyclesLowerBoundedByStreaming) {
