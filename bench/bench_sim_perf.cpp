@@ -1,5 +1,5 @@
 // google-benchmark micro-benchmarks of the simulator itself: how fast the
-// analytical estimator sweeps networks and configurations (the co-design
+// closed-form mappers sweep networks and configurations (the co-design
 // loop's inner iteration cost), and the functional emulators' MAC rate.
 #include <benchmark/benchmark.h>
 

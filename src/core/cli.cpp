@@ -61,8 +61,8 @@ struct CliOptions {
   std::string journal_dir; ///< --journal DIR: crash-safe sweep journal.
   bool resume = false;     ///< --resume: skip points the journal holds.
   bool progress = false;   ///< --progress: stderr heartbeat during sweeps.
-  bool screen = false;     ///< --screen: two-phase analytically-screened sweep.
-  double screen_keep = -1.0;  ///< --screen-keep FRAC: phase-2 band fraction.
+  bool screen = false;     ///< --screen: accepted; the sweep runs exact.
+  double screen_keep = -1.0;  ///< --screen-keep FRAC: validated, then unused.
   std::string save_plan_path;  ///< --save-plan: write the compiled plan.
   std::string load_plan_path;  ///< --load-plan: replay a compiled plan.
 };
@@ -219,8 +219,6 @@ int run_remote(const CliOptions& opt, std::ostream& out, std::ostream& err) {
   w.member("config_ini", config_to_ini(cfg));
   if (opt.dump_rf_sweep) {
     // Mirrors the local path: the RF {8,16} sweep at the default objective.
-    // Screen members are appended only when screening is requested, so an
-    // unscreened request body — and therefore its cache key — is unchanged.
     w.key("sweep");
     w.begin_object();
     w.member("knob", "rf_entries");
@@ -229,10 +227,6 @@ int run_remote(const CliOptions& opt, std::ostream& out, std::ostream& err) {
     w.value(8);
     w.value(16);
     w.end_array();
-    if (opt.screen) {
-      w.member("screen", true);
-      if (opt.screen_keep >= 0.0) w.member("screen_keep", opt.screen_keep);
-    }
     w.end_object();
   } else {
     w.key("options");
@@ -342,8 +336,6 @@ int run_sweep_cli(const CliOptions& opt, const nn::Model& model,
   sopt.tile_timeline = opt.timeline || opt.tile_search;
   sopt.tile_search = opt.tile_search;
   sopt.fuse_pool_drain = opt.fuse;
-  sopt.screen = opt.screen;
-  if (opt.screen_keep >= 0.0) sopt.screen_keep = opt.screen_keep;
 
   if (opt.resume && opt.journal_dir.empty())
     throw std::invalid_argument("--resume requires --journal DIR");
@@ -386,12 +378,6 @@ int run_sweep_cli(const CliOptions& opt, const nn::Model& model,
       err << "sqzsim: skipped " << journal->recovery().skipped
           << " journal records of unknown type (written by a newer build)\n";
   }
-  if (outcome.screened)
-    err << util::format(
-        "sqzsim: screened %zu points, re-simulated %zu cycle-exactly "
-        "(max estimator error %.2f%%)\n",
-        outcome.screen_points, outcome.screen_kept,
-        outcome.screen_error_max_pct);
   if (!outcome.errors.empty())
     err << "sqzsim: " << outcome.errors.size() << " of " << configs.size()
         << " design points failed (see the dump's \"errors\" array)\n";
@@ -490,14 +476,10 @@ std::string cli_usage() {
       "                      uninterrupted run\n"
       "  --progress          stderr heartbeat during sweeps (done/total,\n"
       "                      errors, elapsed seconds)\n"
-      "  --screen            two-phase sweep: score every point with the\n"
-      "                      analytical estimator (docs/ESTIMATOR.md), then\n"
-      "                      re-simulate only the retained Pareto band\n"
-      "                      cycle-exactly. The dump gains a \"screening\"\n"
-      "                      summary and per-point \"phase\" markers\n"
-      "  --screen-keep FRAC  fraction of screened points retained for the\n"
-      "                      cycle-exact phase, in (0, 1] (default 0.25);\n"
-      "                      whole Pareto fronts are kept, never split\n"
+      "  --screen            accepted for compatibility: the sweep runs\n"
+      "                      exactly as without it (two-phase screening\n"
+      "                      was retired); requires a sweep\n"
+      "  --screen-keep FRAC  accepted with --screen, in (0, 1]; ignored\n"
       "  --save-plan FILE    write the compiled plan (schedule + config +\n"
       "                      model identity + fidelity flags) as a versioned,\n"
       "                      checksummed binary artifact (docs/PLANS.md).\n"

@@ -1,8 +1,6 @@
 #include "core/dse.h"
 
-#include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstdio>
 #include <ostream>
 #include <sstream>
@@ -11,7 +9,6 @@
 #include "core/report.h"
 #include "core/sweepjournal.h"
 #include "core/validate.h"
-#include "est/estimator.h"
 #include "nn/serialize.h"
 #include "util/faultinject.h"
 #include "util/hash.h"
@@ -34,15 +31,11 @@ bool dominated_by_any(const DesignPoint& p, const std::vector<DesignPoint>& poin
 }
 
 // The canonical key with the model already serialized — a sweep serializes
-// the model once, not once per point. Screen-phase records append a
-// "phase":"screen" member so analytical estimates and cycle-exact results
-// never collide in one journal; exact-phase keys keep the legacy form, so a
-// journal written by an unscreened sweep seeds a screened resume's phase 2.
+// the model once, not once per point.
 std::string key_from_parts(const std::string& model_text,
                            const std::string& label,
                            const sim::AcceleratorConfig& config,
-                           sched::Objective objective,
-                           bool screen_phase = false) {
+                           sched::Objective objective) {
   std::ostringstream os;
   util::JsonWriter w(os, /*indent=*/0);
   w.begin_object();
@@ -52,7 +45,6 @@ std::string key_from_parts(const std::string& model_text,
   w.member("config", config_to_ini(config));
   w.member("objective",
            objective == sched::Objective::Energy ? "energy" : "cycles");
-  if (screen_phase) w.member("phase", "screen");
   w.end_object();
   return os.str();
 }
@@ -111,101 +103,6 @@ void fill_point(DesignPoint& p, const std::string& label,
   p.cycles = net.total_cycles();
   p.energy = energy::network_energy(net, units).total();
   p.utilization = net.utilization();
-}
-
-// One fault-isolated parallel pass over `idx` (indices into configs), the
-// engine under both sweep phases. `keys` and `restored` run parallel to
-// `idx`; restored slots are skipped, completed slots are journaled under
-// their key, and exceptions land in errors[j] without tearing down the other
-// points. `analytical` retimes the point with est::estimate_retimed_layer
-// (phase 1 of a screened sweep) instead of the event timeline.
-void run_pass(
-    const nn::Model& model,
-    const std::vector<std::pair<std::string, sim::AcceleratorConfig>>& configs,
-    const std::vector<std::size_t>& idx, const std::vector<std::string>& keys,
-    const std::vector<char>& restored, const SweepOptions& opt, bool preflight,
-    bool analytical, std::vector<DesignPoint>& slots,
-    std::vector<std::exception_ptr>& errors, std::atomic<std::size_t>& done,
-    std::atomic<std::size_t>& failed, std::size_t total) {
-  const sched::SimulationOptions sim_opts = sim_options_from(opt);
-  util::ThreadPool::global().parallel_for_index_capture(
-      idx.size(),
-      [&](std::size_t j) {
-        const std::size_t i = idx[j];
-        if (restored[j]) return;
-        try {
-          // "dse.point" fault site: Errno poisons the point (the structured
-          // PointError path must absorb it), Stall slows it down (the
-          // SIGKILL-mid-sweep chaos test widens the crash window with it).
-          if (util::fault::enabled()) {
-            const util::fault::Action a = util::fault::at("dse.point");
-            if (a.kind == util::fault::Kind::Errno)
-              throw std::runtime_error(
-                  "injected dse.point fault (" + configs[i].first + ")");
-          }
-          if (preflight) {
-            const ValidationReport report =
-                validate_design(model, configs[i].second);
-            if (!report.ok()) throw ValidationError(report.summary());
-          }
-          const sim::NetworkResult net = sched::simulate_network(
-              model, configs[i].second, sim_opts,
-              analytical ? est::estimate_retimed_layer : sim::retime_layer);
-          DesignPoint& p = slots[i];
-          fill_point(p, configs[i].first, configs[i].second, net, opt.units);
-          if (opt.journal) opt.journal->append(keys[j], point_value_json(p));
-        } catch (...) {
-          failed.fetch_add(1, std::memory_order_relaxed);
-          done.fetch_add(1, std::memory_order_relaxed);
-          if (opt.progress) opt.progress(done.load(), total, failed.load());
-          throw;  // captured into errors[j] by the pool
-        }
-        done.fetch_add(1, std::memory_order_relaxed);
-        if (opt.progress) opt.progress(done.load(), total, failed.load());
-      },
-      errors);
-}
-
-// Peel successive Pareto fronts off the estimated points until the retained
-// band reaches ceil(keep x candidates); fronts are never split, so the band
-// is a deterministic function of the estimates alone — a resumed screened
-// sweep re-derives the identical phase-2 work list. Returns ascending
-// indices into `slots`.
-std::vector<std::size_t> retain_band(const std::vector<DesignPoint>& slots,
-                                     const std::vector<std::size_t>& candidates,
-                                     double keep) {
-  if (candidates.empty()) return {};
-  const double frac = std::clamp(keep, 0.0, 1.0);
-  const std::size_t target = std::max<std::size_t>(
-      1, static_cast<std::size_t>(
-             std::ceil(frac * static_cast<double>(candidates.size()))));
-  std::vector<std::size_t> kept;
-  std::vector<std::size_t> remaining = candidates;
-  while (kept.size() < target && !remaining.empty()) {
-    std::vector<std::size_t> front, rest;
-    for (const std::size_t i : remaining) {
-      bool dominated = false;
-      for (const std::size_t q : remaining) {
-        if (q == i) continue;
-        const DesignPoint& a = slots[q];
-        const DesignPoint& b = slots[i];
-        if (a.cycles <= b.cycles && a.energy <= b.energy &&
-            (a.cycles < b.cycles || a.energy < b.energy)) {
-          dominated = true;
-          break;
-        }
-      }
-      (dominated ? rest : front).push_back(i);
-    }
-    if (front.empty()) {  // unreachable with a partial order; belt-and-braces
-      kept.insert(kept.end(), remaining.begin(), remaining.end());
-      break;
-    }
-    kept.insert(kept.end(), front.begin(), front.end());
-    remaining = std::move(rest);
-  }
-  std::sort(kept.begin(), kept.end());
-  return kept;
 }
 
 }  // namespace
@@ -290,17 +187,10 @@ SweepOutcome evaluate_designs_checked(
 
   SweepOutcome out;
   std::vector<DesignPoint> slots(n);
-  std::vector<std::size_t> all(n);
-  for (std::size_t i = 0; i < n; ++i) all[i] = i;
-  std::atomic<std::size_t> done{0};
-  std::atomic<std::size_t> failed{0};
-
-  // Keys for whichever phase runs first: legacy form for a plain sweep,
-  // "phase":"screen" form for the analytical phase of a screened one.
   std::vector<std::string> keys(n);
   for (std::size_t i = 0; i < n; ++i)
     keys[i] = key_from_parts(model_text, configs[i].first, configs[i].second,
-                             opt.objective, /*screen_phase=*/opt.screen);
+                             opt.objective);
 
   std::vector<char> restored(n, 0);
   if (opt.journal) {
@@ -315,94 +205,54 @@ SweepOutcome evaluate_designs_checked(
     }
   }
 
-  done.store(out.resumed);
+  std::atomic<std::size_t> done{out.resumed};
+  std::atomic<std::size_t> failed{0};
   if (opt.progress) opt.progress(done.load(), n, 0);
 
+  // One fault-isolated parallel pass: restored slots are skipped, completed
+  // slots are journaled under their key, and an exception lands in errors[i]
+  // without tearing down the other points.
+  const sched::SimulationOptions sim_opts = sim_options_from(opt);
   std::vector<std::exception_ptr> errors;
-  run_pass(model, configs, all, keys, restored, opt, opt.preflight,
-           /*analytical=*/opt.screen, slots, errors, done, failed, n);
-
-  if (!opt.screen) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (errors[i]) {
-        out.errors.push_back(classify_point_error(
-            configs[i].first, short_key(keys[i]), errors[i]));
-        continue;
-      }
-      out.points.push_back(std::move(slots[i]));
-    }
-    return out;
-  }
-
-  // --- screened sweep, phase 1 done: tag estimates, retain the band -------
-  out.screened = true;
-  std::vector<std::size_t> ok;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (errors[i]) continue;
-    slots[i].phase = DesignPoint::Phase::Screen;
-    slots[i].est_cycles = slots[i].cycles;
-    slots[i].est_energy = slots[i].energy;
-    ok.push_back(i);
-  }
-  out.screen_points = ok.size();
-
-  const std::vector<std::size_t> kept = retain_band(slots, ok, opt.screen_keep);
-  out.screen_kept = kept.size();
-
-  // --- phase 2: re-simulate the band cycle-exactly under legacy keys ------
-  std::vector<std::string> xkeys(kept.size());
-  std::vector<char> xrestored(kept.size(), 0);
-  for (std::size_t j = 0; j < kept.size(); ++j)
-    xkeys[j] = key_from_parts(model_text, configs[kept[j]].first,
-                              configs[kept[j]].second, opt.objective);
-  if (opt.journal) {
-    for (std::size_t j = 0; j < kept.size(); ++j) {
-      const auto it = opt.journal->entries().find(xkeys[j]);
-      if (it == opt.journal->entries().end()) continue;
-      // Overwrites cycles/energy/utilization in place; the phase-1 estimate
-      // stays behind in est_cycles/est_energy for the error accounting.
-      if (!parse_point_value(it->second, slots[kept[j]])) continue;
-      xrestored[j] = 1;
-      ++out.resumed;
-      done.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
-  // Phase 2 grows the progress total from n to n + kept: the band size is
-  // unknown until the estimates are in.
-  const std::size_t total = n + kept.size();
-  if (opt.progress) opt.progress(done.load(), total, failed.load());
-
-  std::vector<std::exception_ptr> xerrors;
-  run_pass(model, configs, kept, xkeys, xrestored, opt, /*preflight=*/false,
-           /*analytical=*/false, slots, xerrors, done, failed, total);
-
-  std::vector<std::ptrdiff_t> kept_pos(n, -1);
-  for (std::size_t j = 0; j < kept.size(); ++j) {
-    kept_pos[kept[j]] = static_cast<std::ptrdiff_t>(j);
-    if (xerrors[j]) continue;
-    DesignPoint& p = slots[kept[j]];
-    p.phase = DesignPoint::Phase::Exact;
-    if (p.cycles > 0) {
-      const double err = 100.0 *
-                         std::abs(static_cast<double>(p.est_cycles - p.cycles)) /
-                         static_cast<double>(p.cycles);
-      out.screen_error_max_pct = std::max(out.screen_error_max_pct, err);
-    }
-  }
+  util::ThreadPool::global().parallel_for_index_capture(
+      n,
+      [&](std::size_t i) {
+        if (restored[i]) return;
+        try {
+          // "dse.point" fault site: Errno poisons the point (the structured
+          // PointError path must absorb it), Stall slows it down (the
+          // SIGKILL-mid-sweep chaos test widens the crash window with it).
+          if (util::fault::enabled()) {
+            const util::fault::Action a = util::fault::at("dse.point");
+            if (a.kind == util::fault::Kind::Errno)
+              throw std::runtime_error(
+                  "injected dse.point fault (" + configs[i].first + ")");
+          }
+          if (opt.preflight) {
+            const ValidationReport report =
+                validate_design(model, configs[i].second);
+            if (!report.ok()) throw ValidationError(report.summary());
+          }
+          const sim::NetworkResult net =
+              sched::simulate_network(model, configs[i].second, sim_opts);
+          DesignPoint& p = slots[i];
+          fill_point(p, configs[i].first, configs[i].second, net, opt.units);
+          if (opt.journal) opt.journal->append(keys[i], point_value_json(p));
+        } catch (...) {
+          failed.fetch_add(1, std::memory_order_relaxed);
+          done.fetch_add(1, std::memory_order_relaxed);
+          if (opt.progress) opt.progress(done.load(), n, failed.load());
+          throw;  // captured into errors[i] by the pool
+        }
+        done.fetch_add(1, std::memory_order_relaxed);
+        if (opt.progress) opt.progress(done.load(), n, failed.load());
+      },
+      errors);
 
   for (std::size_t i = 0; i < n; ++i) {
     if (errors[i]) {
-      PointError pe = classify_point_error(configs[i].first, short_key(keys[i]),
-                                           errors[i]);
-      if (pe.phase == "simulate") pe.phase = "estimate";
-      out.errors.push_back(std::move(pe));
-      continue;
-    }
-    const std::ptrdiff_t j = kept_pos[i];
-    if (j >= 0 && xerrors[j]) {
       out.errors.push_back(classify_point_error(
-          configs[i].first, short_key(xkeys[j]), xerrors[j]));
+          configs[i].first, short_key(keys[i]), errors[i]));
       continue;
     }
     out.points.push_back(std::move(slots[i]));
@@ -420,29 +270,18 @@ std::vector<DesignPoint> pareto_front(const std::vector<DesignPoint>& points) {
 namespace {
 
 // Shared by the clean and checked dump paths. The "errors" array is emitted
-// only when non-empty, and the screened-mode additions ("screening" summary,
-// per-point "phase"/"est_*") only when `screened` is non-null, so an
-// unscreened zero-error checked sweep stays byte-identical to
+// only when non-empty, so a zero-error checked sweep stays byte-identical to
 // write_design_points_json — the golden dumps and the serve byte-identity
 // suite compare against that exact form.
 void write_points_doc(const std::string& sweep_name,
                       const std::vector<DesignPoint>& points,
                       const std::vector<PointError>& errors,
-                      const SweepOutcome* screened, std::ostream& out) {
+                      std::ostream& out) {
   util::JsonWriter w(out);
   w.begin_object();
   w.member("schema_version", kReportSchemaVersion);
   w.member("generator", "sqzsim");
   w.member("sweep", sweep_name);
-  if (screened) {
-    w.key("screening");
-    w.begin_object();
-    w.member("screen_points",
-             static_cast<std::int64_t>(screened->screen_points));
-    w.member("screen_kept", static_cast<std::int64_t>(screened->screen_kept));
-    w.member("screen_error_max_pct", screened->screen_error_max_pct);
-    w.end_object();
-  }
   w.key("points");
   w.begin_array();
   for (const DesignPoint& p : points) {
@@ -451,14 +290,6 @@ void write_points_doc(const std::string& sweep_name,
     w.member("cycles", p.cycles);
     w.member("energy", p.energy);
     w.member("utilization", p.utilization);
-    if (screened) {
-      w.member("phase",
-               p.phase == DesignPoint::Phase::Screen ? "screen" : "exact");
-      if (p.phase == DesignPoint::Phase::Exact) {
-        w.member("est_cycles", p.est_cycles);
-        w.member("est_energy", p.est_energy);
-      }
-    }
     w.member("pareto", !dominated_by_any(p, points));
     w.key("config");
     w.begin_object();
@@ -489,13 +320,12 @@ void write_points_doc(const std::string& sweep_name,
 void write_design_points_json(const std::string& sweep_name,
                               const std::vector<DesignPoint>& points,
                               std::ostream& out) {
-  write_points_doc(sweep_name, points, {}, nullptr, out);
+  write_points_doc(sweep_name, points, {}, out);
 }
 
 void write_sweep_outcome_json(const std::string& sweep_name,
                               const SweepOutcome& outcome, std::ostream& out) {
-  write_points_doc(sweep_name, outcome.points, outcome.errors,
-                   outcome.screened ? &outcome : nullptr, out);
+  write_points_doc(sweep_name, outcome.points, outcome.errors, out);
 }
 
 std::vector<std::pair<std::string, sim::AcceleratorConfig>> sweep_rf_entries(

@@ -24,16 +24,6 @@ struct DesignPoint {
   std::int64_t cycles = 0;
   double energy = 0.0;
   double utilization = 0.0;
-
-  /// Two-phase sweeps (SweepOptions::screen): which phase produced
-  /// cycles/energy. Screen points carry the analytical estimate; Exact
-  /// points were re-simulated cycle-exactly, with the phase-1 estimate
-  /// retained in est_cycles/est_energy for error accounting. Single-phase
-  /// sweeps leave the defaults (Exact, -1).
-  enum class Phase { Exact, Screen };
-  Phase phase = Phase::Exact;
-  std::int64_t est_cycles = -1;
-  double est_energy = -1.0;
 };
 
 /// Evaluate every configuration on `model` (cycles, energy, utilization).
@@ -53,7 +43,7 @@ class SweepJournal;
 struct PointError {
   std::string label;  ///< The point's sweep label (e.g. "RF=16").
   std::string key;    ///< 16-hex FNV-1a of the canonical design-point key.
-  /// "validate" | "simulate" | "estimate" | "journal", plus "dispatch" for
+  /// "validate" | "simulate" | "journal", plus "dispatch" for
   /// points a coordinator could not place on any worker after requeues
   /// (serve/coordinator.h).
   std::string phase;
@@ -64,23 +54,12 @@ struct SweepOptions {
   sched::Objective objective = sched::Objective::Cycles;
   energy::UnitEnergies units;
 
-  /// Fidelity knobs forwarded to sched::simulate_network (and mirrored by
-  /// the analytical estimator in screened mode). Defaults reproduce the
-  /// historical flat-model sweep byte-for-byte.
+  /// Fidelity knobs forwarded to sched::simulate_network. Defaults
+  /// reproduce the historical flat-model sweep byte-for-byte.
   bool tile_timeline = false;
   bool double_buffered = true;
   bool tile_search = false;
   bool fuse_pool_drain = false;
-
-  /// Two-phase screening (docs/ESTIMATOR.md): phase 1 scores every point
-  /// with the closed-form estimator (src/est), phase 2 re-simulates only
-  /// the retained Pareto band cycle-exactly. Phase-1 journal records carry
-  /// a "phase":"screen" key member so both phases resume independently.
-  bool screen = false;
-  /// Fraction of successful phase-1 points retained for phase 2. Successive
-  /// Pareto fronts are peeled (never split) until the retained set reaches
-  /// ceil(screen_keep x successful); the first front is always kept whole.
-  double screen_keep = 0.25;
 
   /// Cross-check each model x config pair (core/validate.h) before paying
   /// for its simulation; an infeasible point fails with phase "validate"
@@ -94,8 +73,7 @@ struct SweepOptions {
 
   /// Called after every point completes (and once up front with the resumed
   /// count) as progress(done, total, errors). Invoked from worker threads
-  /// concurrently — the callback must be thread-safe. In screened mode the
-  /// total grows from n to n + kept once the phase-2 band is chosen.
+  /// concurrently — the callback must be thread-safe.
   std::function<void(std::size_t, std::size_t, std::size_t)> progress;
 };
 
@@ -103,15 +81,6 @@ struct SweepOutcome {
   std::vector<DesignPoint> points;  ///< Successful points, input order.
   std::vector<PointError> errors;   ///< Failed points, input order.
   std::size_t resumed = 0;          ///< Points restored from the journal.
-
-  /// Two-phase accounting (meaningful when `screened`): how many points the
-  /// analytical phase scored, how many survived into the cycle-exact phase,
-  /// and the worst phase-1 cycle error observed over the re-simulated band.
-  /// Feeds the screen_* /metrics counters and the dump's "screening" block.
-  bool screened = false;
-  std::size_t screen_points = 0;
-  std::size_t screen_kept = 0;
-  double screen_error_max_pct = 0.0;
 };
 
 /// The canonical identity of one design point: compact JSON carrying the

@@ -23,7 +23,7 @@ namespace {
 sim::NetworkResult simulate_network_impl(
     const nn::Model& model, const sim::AcceleratorConfig& config,
     const SimulationOptions& options,
-    const std::vector<sim::Dataflow>* pinned, Retimer retime) {
+    const std::vector<sim::Dataflow>* pinned) {
   if (!model.finalized())
     throw std::invalid_argument("simulate_network: model must be finalized");
   config.validate();
@@ -75,9 +75,10 @@ sim::NetworkResult simulate_network_impl(
     }
 
     if (options.tile_timeline) {
-      result.layers.push_back(retime(model, layer, config, placement,
-                                     options.double_buffered,
-                                     options.tile_search));
+      result.layers.push_back(sim::retime_layer(model, layer, config,
+                                                placement,
+                                                options.double_buffered,
+                                                options.tile_search));
     } else {
       result.layers.push_back(std::move(layer));
     }
@@ -89,17 +90,15 @@ sim::NetworkResult simulate_network_impl(
 
 sim::NetworkResult simulate_network(const nn::Model& model,
                                     const sim::AcceleratorConfig& config,
-                                    const SimulationOptions& options,
-                                    Retimer retime) {
-  return simulate_network_impl(model, config, options, nullptr, retime);
+                                    const SimulationOptions& options) {
+  return simulate_network_impl(model, config, options, nullptr);
 }
 
 sim::NetworkResult simulate_network_pinned(
     const nn::Model& model, const sim::AcceleratorConfig& config,
     const SimulationOptions& options,
     const std::vector<sim::Dataflow>& dataflow_by_layer) {
-  return simulate_network_impl(model, config, options, &dataflow_by_layer,
-                               sim::retime_layer);
+  return simulate_network_impl(model, config, options, &dataflow_by_layer);
 }
 
 }  // namespace sqz::sched

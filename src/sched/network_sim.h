@@ -45,20 +45,9 @@ struct SimulationOptions {
   bool fuse_pool_drain = false;
 };
 
-/// Per-layer retimer under options.tile_timeline, with the signature of
-/// sim::retime_layer (the exact event timeline, and the default).
-/// est::estimate_retimed_layer is the closed-form bound screened sweeps
-/// pass instead; everything else about the network run is shared.
-using Retimer = sim::LayerResult (*)(const nn::Model& model,
-                                     const sim::LayerResult& analytic,
-                                     const sim::AcceleratorConfig& config,
-                                     sim::TensorPlacement placement,
-                                     bool double_buffered, bool search_tiles);
-
 sim::NetworkResult simulate_network(const nn::Model& model,
                                     const sim::AcceleratorConfig& config,
-                                    const SimulationOptions& options,
-                                    Retimer retime = sim::retime_layer);
+                                    const SimulationOptions& options);
 
 /// simulate_network with the per-layer dataflow search replaced by a replay
 /// of `dataflow_by_layer` (one entry per model layer; entries for layers

@@ -204,16 +204,18 @@ SweepRequest parse_sweep_request(const std::string& body) {
     if (!v.is_number()) bad_request("sweep.values must be numbers");
     req.values.push_back(v.number);
   }
+  // Two-phase screening is retired, but clients may still send its members:
+  // reject malformed ones, ignore valid ones (the request runs exactly).
+  bool screen = false;
   try {
-    if (const JsonValue* v = member(*sweep, "screen")) req.screen = v->as_bool();
+    if (const JsonValue* v = member(*sweep, "screen")) screen = v->as_bool();
   } catch (const std::exception&) {
     bad_request("sweep.screen must be a bool");
   }
   if (const JsonValue* v = member(*sweep, "screen_keep")) {
-    if (!req.screen) bad_request("sweep.screen_keep requires sweep.screen");
+    if (!screen) bad_request("sweep.screen_keep requires sweep.screen");
     if (!v->is_number() || !(v->number > 0.0) || v->number > 1.0)
       bad_request("sweep.screen_keep must be a number in (0, 1]");
-    req.screen_keep = v->number;
   }
   return req;
 }
@@ -301,12 +303,6 @@ std::string canonical_key(const SweepRequest& req) {
   w.begin_array();
   for (const double v : req.values) w.value(v);
   w.end_array();
-  // Appended only when screening: an unscreened request's key (and any
-  // cached body stored under it) is byte-identical to the pre-screening era.
-  if (req.screen) {
-    w.member("screen", true);
-    w.member("screen_keep", req.screen_keep);
-  }
   w.end_object();
   return os.str();
 }
@@ -347,8 +343,6 @@ std::string run_sweep(const SweepRequest& req, core::SweepJournal* journal,
     sweep_opt.double_buffered = req.base.options.double_buffered;
     sweep_opt.tile_search = req.base.options.tile_search;
     sweep_opt.fuse_pool_drain = req.base.options.fuse_pool_drain;
-    sweep_opt.screen = req.screen;
-    sweep_opt.screen_keep = req.screen_keep;
     sweep_opt.journal = journal;
     outcome = core::evaluate_designs_checked(req.base.model,
                                              sweep_configs(req), sweep_opt);
@@ -361,9 +355,6 @@ std::string run_sweep(const SweepRequest& req, core::SweepJournal* journal,
     stats->points = outcome.points.size();
     stats->point_errors = outcome.errors.size();
     stats->resumed = outcome.resumed;
-    stats->screen_points = outcome.screen_points;
-    stats->screen_kept = outcome.screen_kept;
-    stats->screen_error_max_pct = outcome.screen_error_max_pct;
   }
   std::ostringstream os;
   core::write_sweep_outcome_json(req.knob + " on " + req.base.model_label,

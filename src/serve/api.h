@@ -17,8 +17,11 @@
 // Every field is optional except one of model/model_text. POST /v1/sweep
 // adds {"sweep": {"knob": "rf_entries", "values": [8, 16]}}; knobs:
 // rf_entries, array_n, sparsity, dram_bytes_per_cycle. The sweep object
-// also accepts "screen": true and "screen_keep": 0.25 for two-phase
-// analytically-screened sweeps (core/dse.h, docs/ESTIMATOR.md).
+// still accepts the retired two-phase screening members "screen" (a bool)
+// and "screen_keep" (a number in (0, 1], only with "screen": true) and
+// rejects malformed ones, but ignores valid ones: such a request runs the
+// exact sweep, and its key and response equal those of the same request
+// without them.
 //
 // Cache-key canonicalization: requests are reduced to a compact JSON string
 // with a fixed field order in which the model is the *serialized model
@@ -72,12 +75,6 @@ struct SweepRequest {
   SimulateRequest base;
   std::string knob;
   std::vector<double> values;
-  /// Two-phase screening (core/dse.h SweepOptions): sweep.screen /
-  /// sweep.screen_keep request members. The canonical key appends them only
-  /// when screen is set, so unscreened keys — and the cached bodies behind
-  /// them — are unchanged.
-  bool screen = false;
-  double screen_keep = 0.25;
 };
 
 /// A validated POST /v1/workers/register (or /deregister) body — dynamic
@@ -115,13 +112,6 @@ struct SweepRunStats {
   std::size_t points = 0;        ///< Successful points in the response.
   std::size_t point_errors = 0;  ///< Structured PointErrors in the response.
   std::size_t resumed = 0;       ///< Points restored from the sweep journal.
-
-  /// Two-phase screened sweeps: analytical phase-1 scores, retained band
-  /// size, and worst phase-1 cycle error over the re-simulated band (feeds
-  /// the screen_* /metrics counters). All zero for unscreened sweeps.
-  std::size_t screen_points = 0;
-  std::size_t screen_kept = 0;
-  double screen_error_max_pct = 0.0;
 
   bool partial() const noexcept { return point_errors > 0; }
 };

@@ -306,12 +306,6 @@ void Coordinator::finish_flight(const std::string& chunk_body,
 std::string Coordinator::run_sweep(const SweepRequest& req,
                                    core::SweepJournal* journal,
                                    SweepRunStats* stats) {
-  if (req.screen)
-    throw ApiError(400,
-                   "screened sweeps cannot be coordinated: the retained "
-                   "Pareto band is a property of the whole point set; post "
-                   "sweep.screen requests to a worker directly");
-
   const std::vector<std::pair<std::string, sim::AcceleratorConfig>> configs =
       sweep_configs(req);
   const std::string model_text = nn::serialize_model(req.base.model);

@@ -30,8 +30,6 @@
 //     SIGKILL + restart re-dispatches only the unfinished points and the
 //     resumed dump is byte-identical.
 //
-// Screened sweeps (sweep.screen) are rejected with 400: the retained
-// Pareto band is a property of the whole point set and does not shard.
 // /v1/simulate is always served locally by a coordinator.
 #pragma once
 
@@ -129,8 +127,7 @@ class Coordinator {
   /// Shard, dispatch, and merge one sweep. Blocking; safe to call from
   /// multiple connection handlers concurrently (identical in-flight chunks
   /// are deduplicated across calls). Journals completed points to
-  /// `journal` (may be null) as chunks land. Throws ApiError(400) for
-  /// screened sweeps.
+  /// `journal` (may be null) as chunks land.
   std::string run_sweep(const SweepRequest& req, core::SweepJournal* journal,
                         SweepRunStats* stats);
 

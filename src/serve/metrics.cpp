@@ -30,18 +30,12 @@ void Metrics::record_request(double seconds, int status) {
 }
 
 void Metrics::record_sweep(std::uint64_t points, std::uint64_t point_errors,
-                           std::uint64_t resumed, std::uint64_t screen_points,
-                           std::uint64_t screen_kept,
-                           double screen_error_max_pct) {
+                           std::uint64_t resumed) {
   std::lock_guard<std::mutex> lock(mu_);
   s_.sweep_points_total += points;
   s_.sweep_point_errors_total += point_errors;
   if (point_errors > 0) ++s_.sweeps_partial_total;
   s_.sweep_resumed_total += resumed;
-  s_.screen_points += screen_points;
-  s_.screen_kept += screen_kept;
-  if (screen_error_max_pct > s_.screen_error_max_pct)
-    s_.screen_error_max_pct = screen_error_max_pct;
 }
 
 void Metrics::record_shed() {
@@ -204,16 +198,6 @@ std::string Metrics::render(const SimCache::Stats& cache,
   counter("sqzserved_sweep_resumed_total",
           "Design points restored from the sweep journal without re-simulating.",
           static_cast<double>(s.sweep_resumed_total));
-  counter("sqzserved_screen_points_total",
-          "Design points scored by the analytical estimator (phase 1).",
-          static_cast<double>(s.screen_points));
-  counter("sqzserved_screen_kept_total",
-          "Screened points retained and re-simulated cycle-exactly (phase 2).",
-          static_cast<double>(s.screen_kept));
-  counter("sqzserved_screen_error_max_pct",
-          "Worst estimator cycle error (percent) observed over re-simulated "
-          "bands.",
-          s.screen_error_max_pct);
   counter("sqzserved_coord_workers_up",
           "Usable (Healthy or Suspect) workers in the coordinator fleet.",
           static_cast<double>(s.coord_workers_up));

@@ -33,10 +33,6 @@ class Metrics {
     std::uint64_t sweep_point_errors_total = 0;  ///< Structured PointErrors.
     std::uint64_t sweeps_partial_total = 0;  ///< Responses with >=1 error.
     std::uint64_t sweep_resumed_total = 0;   ///< Points served from journal.
-    // Two-phase screened sweeps (ARCHITECTURE.md "Two-phase sweeps").
-    std::uint64_t screen_points = 0;    ///< Points scored analytically.
-    std::uint64_t screen_kept = 0;      ///< Points re-simulated cycle-exactly.
-    double screen_error_max_pct = 0.0;  ///< Worst estimator error observed.
     // Coordinator mode (ARCHITECTURE.md "Distributed sweeps"). All zero on a
     // stock worker.
     std::uint64_t coord_workers_up = 0;          ///< Usable workers (gauge).
@@ -63,12 +59,9 @@ class Metrics {
   /// Record one served request: wall-clock handle time and response status.
   void record_request(double seconds, int status);
 
-  /// Record one executed sweep's point/error/resume counts, plus the
-  /// two-phase screening stats (all zero for unscreened sweeps).
+  /// Record one executed sweep's point/error/resume counts.
   void record_sweep(std::uint64_t points, std::uint64_t point_errors,
-                    std::uint64_t resumed, std::uint64_t screen_points = 0,
-                    std::uint64_t screen_kept = 0,
-                    double screen_error_max_pct = 0.0);
+                    std::uint64_t resumed);
 
   void record_shed();
   void record_timeout();

@@ -682,9 +682,7 @@ HttpResponse Server::route(const HttpRequest& request) {
                                             : service_.sweep(request.body);
       if (request.target == "/v1/sweep" && !result.cache_hit)
         metrics_.record_sweep(result.sweep.points, result.sweep.point_errors,
-                              result.sweep.resumed, result.sweep.screen_points,
-                              result.sweep.screen_kept,
-                              result.sweep.screen_error_max_pct);
+                              result.sweep.resumed);
       HttpResponse resp =
           make_response(200, "application/json", result.body);
       resp.headers.emplace_back("X-Sqz-Cache",

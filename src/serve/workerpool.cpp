@@ -15,6 +15,17 @@ std::string addr_key(const HostPort& addr) {
   return addr.host + ":" + std::to_string(addr.port);
 }
 
+// The splitmix64 finalizer. FNV-1a of strings that differ only in their last
+// bytes ("host:40005#v" vs "host:40006#v") lands in clustered runs, which
+// would hand one worker of an adjacent-port pair almost the whole ring; ring
+// positions and looked-up hashes both pass through this mix so arcs spread
+// evenly. util::fnv1a64 itself stays as is: cache and journal keys use it.
+std::uint64_t ring_position(std::uint64_t h) {
+  h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  h = (h ^ (h >> 27)) * 0x94D049BB133111EBULL;
+  return h ^ (h >> 31);
+}
+
 }  // namespace
 
 const char* worker_health_name(WorkerHealth health) {
@@ -155,8 +166,9 @@ void WorkerPool::rebuild_ring_locked() {
     if (!members_[w].alive) continue;
     const std::string base = addr_key(addrs_[w]) + "#";
     for (int v = 0; v < kVirtualNodes; ++v)
-      ring_.push_back({util::fnv1a64(base + std::to_string(v)),
-                       static_cast<int>(w)});
+      ring_.push_back(
+          {ring_position(util::fnv1a64(base + std::to_string(v))),
+           static_cast<int>(w)});
   }
   std::sort(ring_.begin(), ring_.end(), [](const RingEntry& a,
                                            const RingEntry& b) {
@@ -301,7 +313,7 @@ int WorkerPool::route(std::uint64_t hash,
   // is considered at most once, so the scan is bounded even when every arc
   // belongs to unusable workers.
   auto it = std::lower_bound(
-      ring_.begin(), ring_.end(), hash,
+      ring_.begin(), ring_.end(), ring_position(hash),
       [](const RingEntry& e, std::uint64_t h) { return e.hash < h; });
   std::vector<char> seen(addrs_.size(), 0);
   std::size_t considered = 0;

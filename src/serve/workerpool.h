@@ -28,7 +28,8 @@
 // register_worker take now_ms).
 //
 // Routing is a consistent-hash ring (util/hash.h FNV-1a over
-// "host:port#vnode", kVirtualNodes virtual nodes per worker) over the
+// "host:port#vnode", kVirtualNodes virtual nodes per worker, each position
+// and each looked-up hash mixed by the splitmix64 finalizer) over the
 // *alive* members: a design point's key hashes to the first usable worker
 // clockwise, so each worker's simcache/plancache stays hot on a stable
 // shard of the design space. Because a member's arc positions depend only

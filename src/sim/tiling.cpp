@@ -11,13 +11,33 @@ namespace {
 
 std::int64_t ceil_div(std::int64_t a, std::int64_t b) { return (a + b - 1) / b; }
 
-}  // namespace
+/// Per-layer DMA/geometry facts the row-band planners derive from a
+/// placement: total in/out DMA words, the row axis the bands split, the
+/// filter halo re-read per extra band, and the capacity-forced minimum band
+/// count.
+struct LayerDmaFacts {
+  std::int64_t dma_in_total = 0;   ///< Weights + streamed input words.
+  std::int64_t dma_out_total = 0;  ///< Stored output words unless GB-resident.
+  std::int64_t streamed_act_words = 0;
+  std::int64_t rows = 1;           ///< Output rows (or channels for 1x1-spatial).
+  std::int64_t halo_rows = 0;
+  std::int64_t in_row_words = 0;
+  bool input_streams = false;
+  std::int64_t capacity_min_bands = 1;
 
-int LayerDmaFacts::clamp_bands(int requested) const noexcept {
-  const std::int64_t lo = std::max<std::int64_t>(1, capacity_min_bands);
-  return static_cast<int>(
-      std::min<std::int64_t>(rows, std::max<std::int64_t>(lo, requested)));
-}
+  /// Input words re-read because adjacent bands share a filter halo.
+  std::int64_t halo_words(int bands) const noexcept {
+    if (bands <= 1 || !input_streams) return 0;
+    return static_cast<std::int64_t>(bands - 1) * halo_rows * in_row_words;
+  }
+  /// The band count the planners actually use for a request of `requested`
+  /// (raised to the capacity minimum, clamped to the row count).
+  int clamp_bands(int requested) const noexcept {
+    const std::int64_t lo = std::max<std::int64_t>(1, capacity_min_bands);
+    return static_cast<int>(
+        std::min<std::int64_t>(rows, std::max<std::int64_t>(lo, requested)));
+  }
+};
 
 LayerDmaFacts analyze_layer_dma(const nn::Model& model, int layer_idx,
                                 const AcceleratorConfig& config,
@@ -53,8 +73,6 @@ LayerDmaFacts analyze_layer_dma(const nn::Model& model, int layer_idx,
     d.capacity_min_bands = ceil_div(d.streamed_act_words, band_budget);
   return d;
 }
-
-namespace {
 
 TilePlan build_plan(const LayerDmaFacts& d, std::int64_t compute_cycles,
                     int bands) {

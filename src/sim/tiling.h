@@ -37,35 +37,6 @@ struct TilePlan {
   std::int64_t total_dma_words() const noexcept;
 };
 
-/// Per-layer DMA/geometry facts the row-band planners derive from a
-/// placement: total in/out DMA words, the row axis the bands split, the
-/// filter halo re-read per extra band, and the capacity-forced minimum band
-/// count. Public so the analytical estimator (src/est) can model the tile
-/// timeline in closed form from exactly the geometry the planner uses.
-struct LayerDmaFacts {
-  std::int64_t dma_in_total = 0;   ///< Weights + streamed input words.
-  std::int64_t dma_out_total = 0;  ///< Stored output words unless GB-resident.
-  std::int64_t streamed_act_words = 0;
-  std::int64_t rows = 1;           ///< Output rows (or channels for 1x1-spatial).
-  std::int64_t halo_rows = 0;
-  std::int64_t in_row_words = 0;
-  bool input_streams = false;
-  std::int64_t capacity_min_bands = 1;
-
-  /// Input words re-read because adjacent bands share a filter halo.
-  std::int64_t halo_words(int bands) const noexcept {
-    if (bands <= 1 || !input_streams) return 0;
-    return static_cast<std::int64_t>(bands - 1) * halo_rows * in_row_words;
-  }
-  /// The band count the planners actually use for a request of `requested`
-  /// (raised to the capacity minimum, clamped to the row count).
-  int clamp_bands(int requested) const noexcept;
-};
-
-LayerDmaFacts analyze_layer_dma(const nn::Model& model, int layer_idx,
-                                const AcceleratorConfig& config,
-                                TensorPlacement placement);
-
 /// Split layer `layer_idx` into row-band tiles for the given placement.
 /// `compute_cycles` is the layer's total PE-array (or SIMD) busy time from
 /// the dataflow mapper; it is apportioned to tiles by output rows.

@@ -279,36 +279,58 @@ TEST(Api, PartialSweepReportsErrorsAndIsNeverCached) {
 }
 
 TEST(Api, ScreenedSweepParsesKeysAndFillsStats) {
-  // sweep.screen/screen_keep parse, are rejected when malformed, and are
-  // appended to the canonical key only when screening — an unscreened
-  // request's key (and cached body) is unchanged by the feature.
+  // Two-phase screening is retired: sweep.screen/screen_keep still parse
+  // and malformed values are still 400s, but a valid screened request runs
+  // the exact sweep. It shares the unscreened request's canonical key, and
+  // its stats and response bytes equal the unscreened ones.
   const std::string plain =
       R"({"model":"squeezenet11","sweep":{"knob":"rf_entries","values":[2,4,8,16]}})";
   const std::string screened =
       R"({"model":"squeezenet11","sweep":{"knob":"rf_entries","values":[2,4,8,16],"screen":true,"screen_keep":0.5}})";
-  EXPECT_EQ(canonical_key(parse_sweep_request(plain)),
-            canonical_key(parse_sweep_request(
-                R"({"model":"squeezenet11","sweep":{"knob":"rf_entries","values":[2,4,8,16],"screen":false}})")));
-  EXPECT_NE(canonical_key(parse_sweep_request(plain)),
-            canonical_key(parse_sweep_request(screened)));
+  const std::string key = canonical_key(parse_sweep_request(plain));
+  EXPECT_EQ(canonical_key(parse_sweep_request(screened)), key);
+  EXPECT_EQ(canonical_key(parse_sweep_request(
+                R"({"model":"squeezenet11","sweep":{"knob":"rf_entries","values":[2,4,8,16],"screen":true}})")),
+            key);
+  EXPECT_EQ(canonical_key(parse_sweep_request(
+                R"({"model":"squeezenet11","sweep":{"knob":"rf_entries","values":[2,4,8,16],"screen":false}})")),
+            key);
   expect_bad_sweep(
       R"({"model":"squeezenet11","sweep":{"knob":"rf_entries","values":[8],"screen_keep":0.5}})",
       "requires sweep.screen");
   expect_bad_sweep(
+      R"({"model":"squeezenet11","sweep":{"knob":"rf_entries","values":[8],"screen":false,"screen_keep":0.5}})",
+      "requires sweep.screen");
+  expect_bad_sweep(
       R"({"model":"squeezenet11","sweep":{"knob":"rf_entries","values":[8],"screen":true,"screen_keep":1.5}})",
       "(0, 1]");
+  expect_bad_sweep(
+      R"({"model":"squeezenet11","sweep":{"knob":"rf_entries","values":[8],"screen":true,"screen_keep":0}})",
+      "(0, 1]");
+  expect_bad_sweep(
+      R"({"model":"squeezenet11","sweep":{"knob":"rf_entries","values":[8],"screen":true,"screen_keep":"half"}})",
+      "(0, 1]");
+  expect_bad_sweep(
+      R"({"model":"squeezenet11","sweep":{"knob":"rf_entries","values":[8],"screen":"yes"}})",
+      "must be a bool");
 
   SimService service(nullptr);
   const SimService::Result r = service.sweep(screened);
-  EXPECT_EQ(r.sweep.points, 4u);
-  EXPECT_EQ(r.sweep.screen_points, 4u);
-  EXPECT_EQ(r.sweep.screen_kept, 2u);  // ceil(0.5 * 4)
-  EXPECT_EQ(r.sweep.screen_error_max_pct, 0.0);  // flat fidelity is exact
-  EXPECT_NE(r.body.find("\"screening\":"), std::string::npos);
-
   const SimService::Result plain_r = service.sweep(plain);
-  EXPECT_EQ(plain_r.sweep.screen_points, 0u);
-  EXPECT_EQ(plain_r.body.find("\"screening\":"), std::string::npos);
+  EXPECT_EQ(r.sweep.points, 4u);
+  EXPECT_EQ(r.sweep.points, plain_r.sweep.points);
+  EXPECT_EQ(r.sweep.point_errors, plain_r.sweep.point_errors);
+  EXPECT_EQ(r.sweep.resumed, plain_r.sweep.resumed);
+  EXPECT_EQ(r.body, plain_r.body);
+  EXPECT_EQ(r.body.find("screen"), std::string::npos);
+
+  // One key, one cache entry: the plain request hits the screened body.
+  SimCache cache(8);
+  SimService cached(&cache);
+  EXPECT_FALSE(cached.sweep(screened).cache_hit);
+  const SimService::Result hit = cached.sweep(plain);
+  EXPECT_TRUE(hit.cache_hit);
+  EXPECT_EQ(hit.body, plain_r.body);
 }
 
 TEST(Api, SweepJournalRestoresAcrossServiceInstances) {

@@ -244,16 +244,38 @@ TEST_F(CoordinatorDrill, DistributedSweepIsByteIdenticalToLocalRun) {
   EXPECT_EQ(*again.header("X-Sqz-Cache"), "hit");
 }
 
-TEST_F(CoordinatorDrill, ScreenedSweepIsRejectedWith400) {
+TEST_F(CoordinatorDrill, ScreenedSweepIsCoordinatedByteIdentically) {
+  // Screening is retired, so a screened sweep is the exact sweep and shards
+  // like any other: the coordinator answers it with the unscreened bytes,
+  // under the unscreened request's cache key.
+  spawn_worker();
   spawn_worker();
   Server coord(coord_options(workers_));
   coord.start();
+  const std::string plain =
+      R"({"model":"tinydarknet","sweep":{"knob":"rf_entries","values":[4,8,16]}})";
   const HttpResponse r = post_sweep(
       coord.port(),
       R"({"model":"tinydarknet",)"
-      R"("sweep":{"knob":"rf_entries","values":[4,8],"screen":true}})");
-  EXPECT_EQ(r.status, 400);
-  EXPECT_NE(r.body.find("screen"), std::string::npos) << r.body;
+      R"("sweep":{"knob":"rf_entries","values":[4,8,16],"screen":true,)"
+      R"("screen_keep":0.5}})");
+  ASSERT_EQ(r.status, 200) << r.body;
+  EXPECT_EQ(r.body, local_golden(plain));
+  EXPECT_GE(coord.metrics().snapshot().coord_points_dispatched, 3u);
+
+  const HttpResponse again = post_sweep(coord.port(), plain);
+  ASSERT_EQ(again.status, 200);
+  EXPECT_EQ(again.body, r.body);
+  ASSERT_NE(again.header("X-Sqz-Cache"), nullptr);
+  EXPECT_EQ(*again.header("X-Sqz-Cache"), "hit");
+
+  const HttpResponse bad = post_sweep(
+      coord.port(),
+      R"({"model":"tinydarknet",)"
+      R"("sweep":{"knob":"rf_entries","values":[4],"screen_keep":0.5}})");
+  EXPECT_EQ(bad.status, 400);
+  EXPECT_NE(bad.body.find("requires sweep.screen"), std::string::npos)
+      << bad.body;
 }
 
 TEST_F(CoordinatorDrill, WorkerSigkillMidChunkRecoversByteIdentically) {

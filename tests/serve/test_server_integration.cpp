@@ -180,6 +180,50 @@ TEST_F(ServerIntegration, SweepMatchesLocalDumpByteForByte) {
   EXPECT_EQ(remote.out, local.out);
 }
 
+TEST_F(ServerIntegration, ScreenedSweepAnswersTheUnscreenedBytes) {
+  // Screening is retired: --screen and "screen":true run the exact sweep.
+  const CliRun local =
+      cli({"--model", "tinydarknet", "--sweep", "rf_entries=4,8,16"});
+  ASSERT_EQ(local.code, 0) << local.err;
+  const CliRun local_screened =
+      cli({"--model", "tinydarknet", "--sweep", "rf_entries=4,8,16",
+           "--screen", "--screen-keep", "0.5"});
+  ASSERT_EQ(local_screened.code, 0) << local_screened.err;
+  EXPECT_EQ(local_screened.out, local.out);
+
+  const HttpResponse screened = post(
+      port(), "/v1/sweep",
+      R"({"model":"tinydarknet","sweep":{"knob":"rf_entries",)"
+      R"("values":[4,8,16],"screen":true,"screen_keep":0.5}})");
+  ASSERT_EQ(screened.status, 200) << screened.body;
+  EXPECT_EQ(screened.body, local.out);
+
+  // Same canonical key: the unscreened request is served from the cache.
+  const HttpResponse plain = post(
+      port(), "/v1/sweep",
+      R"({"model":"tinydarknet","sweep":{"knob":"rf_entries",)"
+      R"("values":[4,8,16]}})");
+  ASSERT_EQ(plain.status, 200) << plain.body;
+  EXPECT_EQ(plain.body, local.out);
+  ASSERT_NE(plain.header("X-Sqz-Cache"), nullptr);
+  EXPECT_EQ(*plain.header("X-Sqz-Cache"), "hit");
+
+  const HttpResponse bad = post(
+      port(), "/v1/sweep",
+      R"({"model":"tinydarknet","sweep":{"knob":"rf_entries",)"
+      R"("values":[4],"screen":true,"screen_keep":2}})");
+  EXPECT_EQ(bad.status, 400);
+
+  const std::string endpoint = "127.0.0.1:" + std::to_string(port());
+  const CliRun remote = cli({"--connect", endpoint, "--model", "sqnxt23",
+                             "--dump-rf-sweep", "--screen"});
+  ASSERT_EQ(remote.code, 0) << remote.err;
+  EXPECT_EQ(remote.out, cli({"--model", "sqnxt23", "--dump-rf-sweep"}).out);
+
+  EXPECT_EQ(get(port(), "/metrics").body.find("sqzserved_screen_"),
+            std::string::npos);
+}
+
 TEST_F(ServerIntegration, ErrorPathsMapToHttpStatuses) {
   EXPECT_EQ(get(port(), "/nope").status, 404);
   EXPECT_EQ(get(port(), "/v1/simulate").status, 405);

@@ -224,10 +224,35 @@ TEST(WorkerPoolRing, AllEjectedRoutesNowhere) {
   EXPECT_EQ(pool.route(util::fnv1a64("anything")), 1);
 }
 
+// How many of 512 fixed keys route to `worker`.
+int keys_routed_to(const WorkerPool& pool, int worker) {
+  int hits = 0;
+  for (int i = 0; i < 512; ++i)
+    hits += pool.route(util::fnv1a64("join-" + std::to_string(i))) == worker;
+  return hits;
+}
+
+TEST(WorkerPoolRing, AdjacentPortsSplitTheKeysEvenly) {
+  // Raw FNV-1a ring positions cluster for names that differ only in their
+  // last bytes: 127.0.0.1:40005 + :40006 once routed all 512 keys to the
+  // first. Nothing dials these addresses (no prober is started), so fixed
+  // port numbers are safe here.
+  for (const int base : {40005, 9000, 32768, 50999, 60000}) {
+    WorkerPool pool({{"127.0.0.1", base}, {"127.0.0.1", base + 1}},
+                    test_policy());
+    const int second = keys_routed_to(pool, 1);
+    EXPECT_GE(second, 128) << base;
+    EXPECT_LE(second, 384) << base;
+  }
+}
+
 // --- dynamic membership & leases --------------------------------------------
 
 TEST(WorkerPoolMembership, RegistrationAddsRoutableMemberAndBumpsEpoch) {
-  const std::vector<HostPort> addrs = fleet(2);
+  // Fixed adjacent ports (never dialed): the pair whose clustered ring once
+  // left the registrant without a single key.
+  const std::vector<HostPort> addrs = {{"127.0.0.1", 40005},
+                                       {"127.0.0.1", 40006}};
   WorkerPool pool({addrs[0]}, test_policy());
   EXPECT_EQ(pool.epoch(), 1u);
   EXPECT_EQ(pool.member_count(), 1u);
@@ -242,10 +267,8 @@ TEST(WorkerPoolMembership, RegistrationAddsRoutableMemberAndBumpsEpoch) {
   EXPECT_EQ(pool.usable_count(), 2u);
 
   // The joiner owns arcs: some keys route to slot 1.
-  bool hit = false;
-  for (int i = 0; i < 512 && !hit; ++i)
-    hit = pool.route(util::fnv1a64("join-" + std::to_string(i))) == 1;
-  EXPECT_TRUE(hit) << "a registered worker must own some arc";
+  EXPECT_GT(keys_routed_to(pool, 1), 0)
+      << "a registered worker must own some arc";
 }
 
 TEST(WorkerPoolMembership, EmptyPoolBootstrapsFromFirstRegistration) {
