@@ -203,7 +203,7 @@ int run_remote(const CliOptions& opt, std::ostream& out, std::ostream& err) {
     throw std::invalid_argument("--objective must be cycles|energy");
   const sim::AcceleratorConfig cfg = build_config(opt);
 
-  std::ostringstream body;
+  std::string body;
   util::JsonWriter w(body, /*indent=*/0);
   w.begin_object();
   if (!opt.model_file.empty()) {
@@ -243,7 +243,7 @@ int run_remote(const CliOptions& opt, std::ostream& out, std::ostream& err) {
   req.method = "POST";
   req.target = opt.dump_rf_sweep ? "/v1/sweep" : "/v1/simulate";
   req.headers.emplace_back("Content-Type", "application/json");
-  req.body = body.str();
+  req.body = std::move(body);
 
   // Bounded retries with decorrelated jitter on refused connections,
   // timeouts, and 503 sheds (serve/http.h). The service is idempotent —

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstdio>
 #include <ostream>
-#include <sstream>
 
 #include "core/config_io.h"
 #include "core/report.h"
@@ -31,22 +30,46 @@ bool dominated_by_any(const DesignPoint& p, const std::vector<DesignPoint>& poin
 }
 
 // The canonical key with the model already serialized — a sweep serializes
-// the model once, not once per point.
+// the model once, not once per point. Fidelity joins the key only when it
+// differs from the flat defaults, so every flat key (and every flat journal
+// written before fidelity was keyed) is unchanged.
 std::string key_from_parts(const std::string& model_text,
                            const std::string& label,
                            const sim::AcceleratorConfig& config,
-                           sched::Objective objective) {
-  std::ostringstream os;
-  util::JsonWriter w(os, /*indent=*/0);
+                           const sched::SimulationOptions& options) {
+  std::string key;
+  util::JsonWriter w(key, /*indent=*/0);
   w.begin_object();
   w.member("op", "design_point");
   w.member("model", model_text);
   w.member("label", label);
   w.member("config", config_to_ini(config));
   w.member("objective",
-           objective == sched::Objective::Energy ? "energy" : "cycles");
+           options.objective == sched::Objective::Energy ? "energy" : "cycles");
+  const sched::SimulationOptions flat;
+  if (options.tile_timeline != flat.tile_timeline ||
+      options.double_buffered != flat.double_buffered ||
+      options.tile_search != flat.tile_search ||
+      options.fuse_pool_drain != flat.fuse_pool_drain) {
+    w.key("options");
+    w.begin_object();
+    w.member("timeline", options.tile_timeline);
+    w.member("double_buffered", options.double_buffered);
+    w.member("tile_search", options.tile_search);
+    w.member("fuse", options.fuse_pool_drain);
+    w.end_object();
+  }
   w.end_object();
-  return os.str();
+  // A sweep holds one key per point for its whole run; drop the append
+  // slack (up to half of each key) before it is stored.
+  key.shrink_to_fit();
+  return key;
+}
+
+sched::SimulationOptions flat_options(sched::Objective objective) {
+  sched::SimulationOptions s;
+  s.objective = objective;
+  return s;
 }
 
 std::string short_key(const std::string& canonical) {
@@ -61,14 +84,14 @@ std::string short_key(const std::string& canonical) {
 // so a value parsed back from the journal re-renders to identical bytes —
 // the property the resume byte-identity guarantee stands on.
 std::string point_value_json(const DesignPoint& p) {
-  std::ostringstream os;
-  util::JsonWriter w(os, /*indent=*/0);
+  std::string value;
+  util::JsonWriter w(value, /*indent=*/0);
   w.begin_object();
   w.member("cycles", p.cycles);
   w.member("energy", p.energy);
   w.member("utilization", p.utilization);
   w.end_object();
-  return os.str();
+  return value;
 }
 
 bool parse_point_value(const std::string& json, DesignPoint& p) {
@@ -133,14 +156,22 @@ std::vector<DesignPoint> evaluate_designs(
 std::string design_point_key(const nn::Model& model, const std::string& label,
                              const sim::AcceleratorConfig& config,
                              sched::Objective objective) {
-  return key_from_parts(nn::serialize_model(model), label, config, objective);
+  return key_from_parts(nn::serialize_model(model), label, config,
+                        flat_options(objective));
 }
 
 std::string design_point_key(const std::string& model_text,
                              const std::string& label,
                              const sim::AcceleratorConfig& config,
                              sched::Objective objective) {
-  return key_from_parts(model_text, label, config, objective);
+  return key_from_parts(model_text, label, config, flat_options(objective));
+}
+
+std::string design_point_key(const std::string& model_text,
+                             const std::string& label,
+                             const sim::AcceleratorConfig& config,
+                             const sched::SimulationOptions& options) {
+  return key_from_parts(model_text, label, config, options);
 }
 
 std::string design_point_short_key(const std::string& key) {
@@ -185,12 +216,14 @@ SweepOutcome evaluate_designs_checked(
   const std::size_t n = configs.size();
   const std::string model_text = nn::serialize_model(model);
 
+  const sched::SimulationOptions sim_opts = sim_options_from(opt);
+
   SweepOutcome out;
   std::vector<DesignPoint> slots(n);
   std::vector<std::string> keys(n);
   for (std::size_t i = 0; i < n; ++i)
     keys[i] = key_from_parts(model_text, configs[i].first, configs[i].second,
-                             opt.objective);
+                             sim_opts);
 
   std::vector<char> restored(n, 0);
   if (opt.journal) {
@@ -212,7 +245,6 @@ SweepOutcome evaluate_designs_checked(
   // One fault-isolated parallel pass: restored slots are skipped, completed
   // slots are journaled under their key, and an exception lands in errors[i]
   // without tearing down the other points.
-  const sched::SimulationOptions sim_opts = sim_options_from(opt);
   std::vector<std::exception_ptr> errors;
   util::ThreadPool::global().parallel_for_index_capture(
       n,
@@ -273,10 +305,10 @@ namespace {
 // only when non-empty, so a zero-error checked sweep stays byte-identical to
 // write_design_points_json — the golden dumps and the serve byte-identity
 // suite compare against that exact form.
-void write_points_doc(const std::string& sweep_name,
-                      const std::vector<DesignPoint>& points,
-                      const std::vector<PointError>& errors,
-                      std::ostream& out) {
+std::string points_doc(const std::string& sweep_name,
+                       const std::vector<DesignPoint>& points,
+                       const std::vector<PointError>& errors) {
+  std::string out;
   util::JsonWriter w(out);
   w.begin_object();
   w.member("schema_version", kReportSchemaVersion);
@@ -312,7 +344,8 @@ void write_points_doc(const std::string& sweep_name,
     w.end_array();
   }
   w.end_object();
-  out << "\n";
+  out += '\n';
+  return out;
 }
 
 }  // namespace
@@ -320,12 +353,17 @@ void write_points_doc(const std::string& sweep_name,
 void write_design_points_json(const std::string& sweep_name,
                               const std::vector<DesignPoint>& points,
                               std::ostream& out) {
-  write_points_doc(sweep_name, points, {}, out);
+  out << points_doc(sweep_name, points, {});
+}
+
+std::string sweep_outcome_json(const std::string& sweep_name,
+                               const SweepOutcome& outcome) {
+  return points_doc(sweep_name, outcome.points, outcome.errors);
 }
 
 void write_sweep_outcome_json(const std::string& sweep_name,
                               const SweepOutcome& outcome, std::ostream& out) {
-  write_points_doc(sweep_name, outcome.points, outcome.errors, out);
+  out << sweep_outcome_json(sweep_name, outcome);
 }
 
 std::vector<std::pair<std::string, sim::AcceleratorConfig>> sweep_rf_entries(

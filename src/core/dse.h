@@ -84,20 +84,31 @@ struct SweepOutcome {
 };
 
 /// The canonical identity of one design point: compact JSON carrying the
-/// serialized model text, the sweep label, the config_to_ini rendering, and
-/// the objective — the same canonicalization discipline as the serving
-/// cache (serve/api.h), so a point's journal entry survives process
-/// restarts and config-struct reordering alike.
+/// serialized model text, the sweep label, the config_to_ini rendering, the
+/// objective and — only when one differs from its flat default — the
+/// fidelity options (timeline, double_buffered, tile_search, fuse). The
+/// same canonicalization discipline as the serving cache (serve/api.h), so
+/// a point's journal entry survives process restarts and config-struct
+/// reordering alike, and a flat point's entry is never served to a
+/// timeline sweep. This overload keys a flat-fidelity point.
 std::string design_point_key(const nn::Model& model, const std::string& label,
                              const sim::AcceleratorConfig& config,
                              sched::Objective objective);
 
 /// Same key with the model already serialized (nn/serialize.h): a sweep —
 /// or a coordinator sharding one — serializes the model once, not per point.
+/// Keys a flat-fidelity point.
 std::string design_point_key(const std::string& model_text,
                              const std::string& label,
                              const sim::AcceleratorConfig& config,
                              sched::Objective objective);
+
+/// The key of a point simulated with `options`: its objective and fidelity
+/// (`units` are not keyed; requests cannot set them).
+std::string design_point_key(const std::string& model_text,
+                             const std::string& label,
+                             const sim::AcceleratorConfig& config,
+                             const sched::SimulationOptions& options);
 
 /// The 16-hex FNV-1a digest of a canonical design-point key — the form
 /// recorded in PointError::key, exposed so the serve-layer coordinator
@@ -146,6 +157,11 @@ void write_design_points_json(const std::string& sweep_name,
 /// "errors" array of {label, key, phase, what} after "points".
 void write_sweep_outcome_json(const std::string& sweep_name,
                               const SweepOutcome& outcome, std::ostream& out);
+
+/// write_sweep_outcome_json's document as one string — the /v1/sweep
+/// response body.
+std::string sweep_outcome_json(const std::string& sweep_name,
+                               const SweepOutcome& outcome);
 
 // --- sweep builders -------------------------------------------------------
 

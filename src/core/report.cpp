@@ -1,7 +1,6 @@
 #include "core/report.h"
 
 #include <ostream>
-#include <sstream>
 
 #include <thread>
 
@@ -93,8 +92,10 @@ Table energy_table(const sim::NetworkResult& result, const energy::UnitEnergies&
   return t;
 }
 
-void write_json_report(const nn::Model& model, const sim::NetworkResult& result,
-                       const energy::UnitEnergies& units, std::ostream& out) {
+std::string json_report_string(const nn::Model& model,
+                               const sim::NetworkResult& result,
+                               const energy::UnitEnergies& units) {
+  std::string out;
   util::JsonWriter w(out);
   w.begin_object();
   w.member("schema_version", kReportSchemaVersion);
@@ -173,15 +174,13 @@ void write_json_report(const nn::Model& model, const sim::NetworkResult& result,
   w.end_array();
 
   w.end_object();
-  out << "\n";
+  out += '\n';
+  return out;
 }
 
-std::string json_report_string(const nn::Model& model,
-                               const sim::NetworkResult& result,
-                               const energy::UnitEnergies& units) {
-  std::ostringstream os;
-  write_json_report(model, result, units, os);
-  return os.str();
+void write_json_report(const nn::Model& model, const sim::NetworkResult& result,
+                       const energy::UnitEnergies& units, std::ostream& out) {
+  out << json_report_string(model, result, units);
 }
 
 }  // namespace sqz::core

@@ -52,8 +52,8 @@ inline constexpr int kReportSchemaVersion = 1;
 void write_json_report(const nn::Model& model, const sim::NetworkResult& result,
                        const energy::UnitEnergies& units, std::ostream& out);
 
-/// write_json_report into a string — the serving layer's response body and
-/// cache value. Byte-identical to what `sqzsim --json` writes to its file.
+/// The same report as one string — the serving layer's response body and
+/// cache value, and what write_json_report streams out (`sqzsim --json`).
 std::string json_report_string(const nn::Model& model,
                                const sim::NetworkResult& result,
                                const energy::UnitEnergies& units);

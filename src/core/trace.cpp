@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <ostream>
+#include <string_view>
 
 #include "util/json.h"
 
@@ -12,7 +13,7 @@ namespace {
 
 /// One complete ("X") event. Chrome timestamps are microseconds; we map one
 /// cycle to one microsecond (see trace.h).
-void emit_complete(util::JsonWriter& w, const char* cat, const std::string& name,
+void emit_complete(util::JsonWriter& w, const char* cat, std::string_view name,
                    int tid, std::int64_t start, std::int64_t dur,
                    const std::function<void()>& args = nullptr) {
   w.begin_object();
@@ -46,10 +47,9 @@ void emit_metadata(util::JsonWriter& w, const char* what, int tid,
   w.end_object();
 }
 
-}  // namespace
-
-void write_chrome_trace(const nn::Model& model, const sim::NetworkResult& result,
-                        std::ostream& out) {
+std::string chrome_trace_json(const nn::Model& model,
+                              const sim::NetworkResult& result) {
+  std::string out;
   util::JsonWriter w(out, /*indent=*/0);
   w.begin_object();
   w.member("displayTimeUnit", "ms");
@@ -123,7 +123,15 @@ void write_chrome_trace(const nn::Model& model, const sim::NetworkResult& result
 
   w.end_array();
   w.end_object();
-  out << "\n";
+  out += '\n';
+  return out;
+}
+
+}  // namespace
+
+void write_chrome_trace(const nn::Model& model, const sim::NetworkResult& result,
+                        std::ostream& out) {
+  out << chrome_trace_json(model, result);
 }
 
 }  // namespace sqz::core

@@ -1,7 +1,6 @@
 #include "serve/api.h"
 
 #include <functional>
-#include <sstream>
 
 #include "core/cli.h"
 #include "core/config_io.h"
@@ -276,20 +275,20 @@ std::vector<std::pair<std::string, sim::AcceleratorConfig>> sweep_configs(
 }
 
 std::string canonical_key(const SimulateRequest& req) {
-  std::ostringstream os;
-  util::JsonWriter w(os, /*indent=*/0);
+  std::string key;
+  util::JsonWriter w(key, /*indent=*/0);
   w.begin_object();
   w.member("op", "simulate");
   w.member("model", nn::serialize_model(req.model));
   w.member("config", core::config_to_ini(req.config));
   options_to_canonical_json(req.options, w);
   w.end_object();
-  return os.str();
+  return key;
 }
 
 std::string canonical_key(const SweepRequest& req) {
-  std::ostringstream os;
-  util::JsonWriter w(os, /*indent=*/0);
+  std::string key;
+  util::JsonWriter w(key, /*indent=*/0);
   w.begin_object();
   w.member("op", "sweep");
   // The sweep label is embedded in the response's "sweep" name, so two
@@ -304,7 +303,7 @@ std::string canonical_key(const SweepRequest& req) {
   for (const double v : req.values) w.value(v);
   w.end_array();
   w.end_object();
-  return os.str();
+  return key;
 }
 
 std::string run_simulate(const SimulateRequest& req,
@@ -356,10 +355,8 @@ std::string run_sweep(const SweepRequest& req, core::SweepJournal* journal,
     stats->point_errors = outcome.errors.size();
     stats->resumed = outcome.resumed;
   }
-  std::ostringstream os;
-  core::write_sweep_outcome_json(req.knob + " on " + req.base.model_label,
-                                 outcome, os);
-  return os.str();
+  return core::sweep_outcome_json(req.knob + " on " + req.base.model_label,
+                                  outcome);
 }
 
 namespace {

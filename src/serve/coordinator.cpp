@@ -6,7 +6,6 @@
 #include <deque>
 #include <map>
 #include <mutex>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -72,8 +71,8 @@ std::string chunk_request_body(const SweepRequest& req,
                                const std::string& model_text,
                                const std::string& config_ini,
                                const std::vector<std::size_t>& idx) {
-  std::ostringstream os;
-  util::JsonWriter w(os, /*indent=*/0);
+  std::string body;
+  util::JsonWriter w(body, /*indent=*/0);
   w.begin_object();
   w.member("model_text", model_text);
   w.member("config_ini", config_ini);
@@ -96,7 +95,7 @@ std::string chunk_request_body(const SweepRequest& req,
   w.end_array();
   w.end_object();
   w.end_object();
-  return os.str();
+  return body;
 }
 
 /// Map a worker's sweep dump back onto the chunk's positions. "points" and
@@ -202,15 +201,15 @@ void Coordinator::journal_membership(const std::string& addr,
                                      const char* event, std::int64_t lease_ms,
                                      std::uint64_t epoch) {
   if (!journal_) return;
-  std::ostringstream os;
-  util::JsonWriter w(os, /*indent=*/0);
+  std::string record;
+  util::JsonWriter w(record, /*indent=*/0);
   w.begin_object();
   w.member("event", std::string(event));
   w.member("lease_ms", lease_ms);
   w.member("epoch", static_cast<std::int64_t>(epoch));
   w.end_object();
   try {
-    journal_->append_membership(addr, os.str());
+    journal_->append_membership(addr, record);
   } catch (const core::SweepJournalError& e) {
     // Not fatal: a lost event costs the standby at most one lease window —
     // live workers re-register via heartbeat, dead ones expire.
@@ -317,8 +316,7 @@ std::string Coordinator::run_sweep(const SweepRequest& req,
   std::vector<std::string> keys(n);
   for (std::size_t i = 0; i < n; ++i)
     keys[i] = core::design_point_key(model_text, configs[i].first,
-                                     configs[i].second,
-                                     req.base.options.objective);
+                                     configs[i].second, req.base.options);
 
   core::SweepOutcome outcome;
   std::vector<core::DesignPoint> points(n);
@@ -694,10 +692,8 @@ std::string Coordinator::run_sweep(const SweepRequest& req,
     stats->point_errors = outcome.errors.size();
     stats->resumed = outcome.resumed;
   }
-  std::ostringstream os;
-  core::write_sweep_outcome_json(req.knob + " on " + req.base.model_label,
-                                 outcome, os);
-  return os.str();
+  return core::sweep_outcome_json(req.knob + " on " + req.base.model_label,
+                                  outcome);
 }
 
 }  // namespace sqz::serve

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <sstream>
 
 #include "serve/metrics.h"
 #include "util/hash.h"
@@ -58,8 +57,8 @@ std::string Joiner::current_endpoint() const {
 }
 
 bool Joiner::post_registration(const HostPort& coordinator, bool deregister) {
-  std::ostringstream os;
-  util::JsonWriter w(os, /*indent=*/0);
+  std::string body;
+  util::JsonWriter w(body, /*indent=*/0);
   w.begin_object();
   w.member("host", options_.advertise_host);
   w.member("port", options_.advertise_port);
@@ -70,7 +69,7 @@ bool Joiner::post_registration(const HostPort& coordinator, bool deregister) {
     req.method = "POST";
     req.target = deregister ? "/v1/workers/deregister" : "/v1/workers/register";
     req.headers.emplace_back("Content-Type", "application/json");
-    req.body = os.str();
+    req.body = std::move(body);
     const HttpResponse resp = http_fetch(coordinator.host, coordinator.port,
                                          std::move(req), options_.timeout_ms);
     if (resp.status != 200) return false;

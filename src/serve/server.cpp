@@ -13,7 +13,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 
@@ -544,8 +543,8 @@ HttpResponse Server::route(const HttpRequest& request) {
         active = active_connections_;
       }
       const std::uint64_t accepted = static_cast<std::uint64_t>(active);
-      std::ostringstream os;
-      util::JsonWriter w(os, /*indent=*/0);
+      std::string doc;
+      util::JsonWriter w(doc, /*indent=*/0);
       w.begin_object();
       w.member("status", "ok");
       w.member("requests_in_flight", m.in_flight);
@@ -629,7 +628,8 @@ HttpResponse Server::route(const HttpRequest& request) {
         w.end_object();
       }
       w.end_object();
-      return make_response(200, "application/json", os.str() + "\n");
+      doc += '\n';
+      return make_response(200, "application/json", std::move(doc));
     }
     if (request.target == "/metrics") {
       if (request.method != "GET")
@@ -653,8 +653,8 @@ HttpResponse Server::route(const HttpRequest& request) {
             404, "not a coordinator: start with --workers or --coordinator");
       const WorkerRegistration reg = parse_worker_registration(request.body);
       const HostPort addr{reg.host, reg.port};
-      std::ostringstream os;
-      util::JsonWriter w(os, /*indent=*/0);
+      std::string doc;
+      util::JsonWriter w(doc, /*indent=*/0);
       w.begin_object();
       if (request.target == "/v1/workers/register") {
         const WorkerPool::Registration r =
@@ -668,7 +668,8 @@ HttpResponse Server::route(const HttpRequest& request) {
         w.member("epoch", coordinator_->pool().epoch());
       }
       w.end_object();
-      return make_response(200, "application/json", os.str() + "\n");
+      doc += '\n';
+      return make_response(200, "application/json", std::move(doc));
     }
     if (request.target == "/v1/simulate" || request.target == "/v1/sweep") {
       if (request.method != "POST")

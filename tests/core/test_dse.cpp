@@ -143,5 +143,40 @@ TEST(Dse, BiggerArrayFasterOnBigNetwork) {
   EXPECT_GT(points[0].cycles, points[1].cycles);
 }
 
+TEST(Dse, DesignPointKeyCarriesFidelityOnlyOffTheFlatDefaults) {
+  const std::string text = "model m\ninput 3x8x8\n";
+  const sim::AcceleratorConfig cfg = sim::AcceleratorConfig::squeezelerator();
+  const std::string flat =
+      design_point_key(text, "RF=8", cfg, sched::Objective::Cycles);
+  EXPECT_EQ(flat.rfind("{\"op\":\"design_point\",", 0), 0u) << flat;
+  EXPECT_EQ(flat.find("options"), std::string::npos) << flat;
+  EXPECT_EQ(design_point_key(text, "RF=8", cfg, sched::SimulationOptions{}),
+            flat);
+
+  sched::SimulationOptions energy;
+  energy.objective = sched::Objective::Energy;
+  EXPECT_EQ(design_point_key(text, "RF=8", cfg, energy),
+            design_point_key(text, "RF=8", cfg, sched::Objective::Energy));
+
+  // Each fidelity knob off its default gives a distinct key that names it.
+  std::vector<sched::SimulationOptions> off(4);
+  off[0].tile_timeline = true;
+  off[1].double_buffered = false;
+  off[2].tile_timeline = off[2].tile_search = true;
+  off[3].fuse_pool_drain = true;
+  std::vector<std::string> keys = {flat};
+  for (const sched::SimulationOptions& o : off)
+    keys.push_back(design_point_key(text, "RF=8", cfg, o));
+  for (std::size_t i = 1; i < keys.size(); ++i) {
+    EXPECT_NE(keys[i].find(",\"options\":{\"timeline\":"), std::string::npos)
+        << keys[i];
+    for (std::size_t j = 0; j < i; ++j) EXPECT_NE(keys[i], keys[j]);
+  }
+  EXPECT_NE(keys[3].find("\"timeline\":true,\"double_buffered\":true,"
+                         "\"tile_search\":true,\"fuse\":false}}"),
+            std::string::npos)
+      << keys[3];
+}
+
 }  // namespace
 }  // namespace sqz::core

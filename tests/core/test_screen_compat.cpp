@@ -3,8 +3,8 @@
 // runs the exact sweep: its dump, its journal records and its resume
 // behaviour equal those of the same sweep without the flags. A journal
 // written by a build that still screened (tests/data/screened_sweep.sqzj)
-// resumes cleanly: its "phase":"screen" estimates are ignored and its
-// exact-keyed records are reused.
+// resumes cleanly: its "phase":"screen" estimates are ignored, and so are
+// its exact records, whose keys predate fidelity-keyed design points.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -121,14 +121,19 @@ TEST(Screening, ScreenedSweepJournalsOnlyExactKeys) {
   const CliRun r = run(with(with(kFixtureSweep, kScreen), {"--journal", dir}));
   ASSERT_EQ(r.code, 0) << r.err;
 
-  const nn::Model m = nn::zoo::tiny_darknet();
+  const std::string model_text =
+      nn::serialize_model(nn::zoo::tiny_darknet());
   const auto configs = sweep_rf_entries(
       sim::AcceleratorConfig::squeezelerator(), {2, 4, 8, 16, 32});
+  // The exact key of a --tile-search point: its fidelity is part of it.
+  sched::SimulationOptions fidelity;
+  fidelity.tile_timeline = true;
+  fidelity.tile_search = true;
   SweepJournal journal(dir);
   ASSERT_EQ(journal.entries().size(), configs.size());
   for (const auto& [label, cfg] : configs)
     EXPECT_EQ(journal.entries().count(
-                  design_point_key(m, label, cfg, sched::Objective::Cycles)),
+                  design_point_key(model_text, label, cfg, fidelity)),
               1u)
         << label;
   for (const auto& [key, value] : journal.entries())
@@ -175,7 +180,11 @@ TEST(Screening, ScreenedJournalFromBeforeTheRetirementResumesExactly) {
   // screened, running the kFixtureSweep with --screen --screen-keep 0.4:
   // five "phase":"screen" estimate records, then two exact records for the
   // retained band (RF=16, RF=32). The estimates differ from the exact
-  // timeline, so reusing one would change the dump's bytes.
+  // timeline, so reusing one would change the dump's bytes. That build's
+  // design-point keys carried no fidelity, so its exact records are keyed
+  // like flat points and a --tile-search sweep cannot tell them from a flat
+  // sweep's records: none is reused, every point is simulated again, and
+  // the dump is still the exact one.
   const std::string golden =
       std::string(SQZ_TEST_DATA_DIR) + "/screened_sweep.sqzj";
   ASSERT_TRUE(fs::exists(golden)) << "missing golden: " << golden;
@@ -203,8 +212,9 @@ TEST(Screening, ScreenedJournalFromBeforeTheRetirementResumesExactly) {
              {"--journal", dir, "--resume"});
     const CliRun r = run(args);
     ASSERT_EQ(r.code, 0) << r.err;
-    EXPECT_EQ(count_resumed(r.err), 2u) << r.err;
+    EXPECT_EQ(count_resumed(r.err), 0u) << r.err;
     EXPECT_EQ(r.out, plain);
+    EXPECT_EQ(SweepJournal(dir).entries().size(), 7u + 5u);
   }
 }
 

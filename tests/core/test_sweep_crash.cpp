@@ -26,7 +26,9 @@
 #include <vector>
 
 #include "core/cli.h"
+#include "core/dse.h"
 #include "core/sweepjournal.h"
+#include "nn/zoo/zoo.h"
 #include "util/faultinject.h"
 #include "util/json_parse.h"
 
@@ -143,6 +145,40 @@ TEST(SweepResume, ResumeSkipsJournaledPointsByteIdentically) {
   EXPECT_EQ(resumed.code, 0);
   EXPECT_EQ(resumed.out, uninterrupted.out);
   EXPECT_NE(resumed.err.find("resumed 3 completed points"), std::string::npos);
+  fs::remove_all(dir);
+}
+
+TEST(SweepResume, FlatJournalIsNotServedToATimelineSweep) {
+  // One journal, the same points at two fidelities: the timeline sweep must
+  // not restore the flat sweep's metrics, and each fidelity resumes its own.
+  const std::string dir = fresh_dir("fidelity");
+  const nn::Model model = nn::zoo::tiny_darknet();
+  const auto configs = sweep_rf_entries(
+      sim::AcceleratorConfig::squeezelerator(), {4, 8, 16});
+  SweepOptions flat;
+  SweepOptions timeline;
+  timeline.tile_timeline = true;
+  timeline.tile_search = true;
+  const std::string fresh_flat =
+      sweep_outcome_json("s", evaluate_designs_checked(model, configs, flat));
+  const std::string fresh_timeline = sweep_outcome_json(
+      "s", evaluate_designs_checked(model, configs, timeline));
+  ASSERT_NE(fresh_flat, fresh_timeline);
+
+  SweepJournal journal(dir);
+  flat.journal = &journal;
+  timeline.journal = &journal;
+  const SweepOutcome a = evaluate_designs_checked(model, configs, flat);
+  EXPECT_EQ(sweep_outcome_json("s", a), fresh_flat);
+  const SweepOutcome b = evaluate_designs_checked(model, configs, timeline);
+  EXPECT_EQ(b.resumed, 0u);
+  EXPECT_EQ(sweep_outcome_json("s", b), fresh_timeline);
+  for (const SweepOptions* opt : {&flat, &timeline}) {
+    const SweepOutcome again = evaluate_designs_checked(model, configs, *opt);
+    EXPECT_EQ(again.resumed, configs.size());
+    EXPECT_EQ(sweep_outcome_json("s", again),
+              opt == &flat ? fresh_flat : fresh_timeline);
+  }
   fs::remove_all(dir);
 }
 

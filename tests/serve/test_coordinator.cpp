@@ -29,6 +29,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/sweepjournal.h"
 #include "serve/api.h"
 #include "serve/server.h"
 #include "util/faultinject.h"
@@ -276,6 +277,53 @@ TEST_F(CoordinatorDrill, ScreenedSweepIsCoordinatedByteIdentically) {
   EXPECT_EQ(bad.status, 400);
   EXPECT_NE(bad.body.find("requires sweep.screen"), std::string::npos)
       << bad.body;
+}
+
+TEST_F(CoordinatorDrill, FlatJournalIsNotServedToATimelineSweep) {
+  // A sweep journal holds a flat sweep's points; a timeline sweep of the
+  // same points through the same journal must simulate them, not restore
+  // the flat metrics — run locally and sharded by a coordinator.
+  const std::string flat =
+      R"({"model":"tinydarknet","sweep":{"knob":"rf_entries","values":[4,8,16]}})";
+  const std::string timeline =
+      R"({"model":"tinydarknet","options":{"timeline":true,"tile_search":true},)"
+      R"("sweep":{"knob":"rf_entries","values":[4,8,16]}})";
+  const std::string fresh = local_golden(timeline);
+  ASSERT_NE(fresh, local_golden(flat));
+
+  const fs::path local_dir = fs::temp_directory_path() /
+                             ("sqz_fidelity_local_" + std::to_string(::getpid()));
+  fs::remove_all(local_dir);
+  {
+    core::SweepJournal journal(local_dir.string());
+    EXPECT_EQ(run_sweep(parse_sweep_request(flat), &journal),
+              local_golden(flat));
+    SweepRunStats stats;
+    EXPECT_EQ(run_sweep(parse_sweep_request(timeline), &journal, &stats),
+              fresh);
+    EXPECT_EQ(stats.resumed, 0u);
+  }
+  fs::remove_all(local_dir);
+
+  spawn_worker();
+  spawn_worker();
+  const fs::path dir = fs::temp_directory_path() /
+                       ("sqz_fidelity_coord_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  ServerOptions opt = coord_options(workers_);
+  opt.sweep_journal_dir = dir.string();
+  {
+    Server coord(opt);
+    coord.start();
+    const HttpResponse a = post_sweep(coord.port(), flat);
+    ASSERT_EQ(a.status, 200) << a.body;
+    EXPECT_EQ(a.body, local_golden(flat));
+    const HttpResponse b = post_sweep(coord.port(), timeline);
+    ASSERT_EQ(b.status, 200) << b.body;
+    EXPECT_EQ(b.body, fresh);
+    EXPECT_GE(coord.metrics().snapshot().coord_points_dispatched, 6u);
+  }
+  fs::remove_all(dir);
 }
 
 TEST_F(CoordinatorDrill, WorkerSigkillMidChunkRecoversByteIdentically) {

@@ -2,23 +2,66 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 
 #include "util/json_parse.h"
+#include "util/rng.h"
 
 namespace sqz::util {
 namespace {
 
+// Render one document through both sinks; they must agree byte for byte.
+std::string render(int indent, const std::function<void(JsonWriter&)>& build) {
+  std::string doc;
+  JsonWriter to_string(doc, indent);
+  build(to_string);
+  EXPECT_TRUE(to_string.done());
+
+  std::ostringstream os;
+  JsonWriter to_stream(os, indent);
+  build(to_stream);
+  EXPECT_TRUE(to_stream.done());
+  EXPECT_EQ(os.str(), doc) << "ostream adapter differs from the string sink";
+  return doc;
+}
 
 std::string compact(const std::function<void(JsonWriter&)>& build) {
-  std::ostringstream os;
-  JsonWriter w(os, /*indent=*/0);
-  build(w);
-  EXPECT_TRUE(w.done());
-  return os.str();
+  return render(/*indent=*/0, build);
+}
+
+// The formatter json_number replaced, kept as the oracle: the smallest
+// precision 1..17 whose `%.*g` text strtod maps back to the same double.
+std::string reference_json_number(double value) {
+  if (!std::isfinite(value)) return "null";
+  char buf[40];
+  for (int precision = 1; precision <= 17; ++precision) {
+    std::snprintf(buf, sizeof buf, "%.*g", precision, value);
+    if (std::strtod(buf, nullptr) == value) break;
+  }
+  return buf;
+}
+
+double from_bits(std::uint64_t bits) {
+  double d;
+  std::memcpy(&d, &bits, sizeof d);
+  return d;
+}
+
+void expect_matches_reference(double v, int& mismatches) {
+  const std::string got = json_number(v);
+  const std::string want = reference_json_number(v);
+  if (got == want) return;
+  if (++mismatches <= 10)
+    ADD_FAILURE() << "json_number(" << want << ") gave " << got;
 }
 
 TEST(JsonEscape, PassesPlainTextThrough) {
@@ -63,6 +106,78 @@ TEST(JsonNumber, RoundTripsExactly) {
   }
 }
 
+TEST(JsonNumber, MatchesPrintfOracleOnRandomBitPatterns) {
+  // Uniform bit patterns: every exponent, subnormals, NaN payloads; most
+  // need 15-17 digits.
+  Rng rng(0x5eed'0015);
+  int mismatches = 0;
+  for (int i = 0; i < 200'000; ++i)
+    expect_matches_reference(from_bits(rng.next_u64()), mismatches);
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(JsonNumber, MatchesPrintfOracleOnShortDecimals) {
+  // Values with few significant digits, like the knob values, ratios and
+  // energies a report carries: the shortest form is short, so the search
+  // starts (and sometimes must step) far below 17 digits.
+  Rng rng(0x5eed'0016);
+  int mismatches = 0;
+  char text[48];
+  for (int i = 0; i < 50'000; ++i) {
+    const int digits = static_cast<int>(rng.next_in(1, 17));
+    std::uint64_t mantissa = 0;
+    for (int d = 0; d < digits; ++d) mantissa = mantissa * 10 + rng.next_below(10);
+    std::snprintf(text, sizeof text, "%s%llue%d", rng.next_bernoulli(0.5) ? "-" : "",
+                  static_cast<unsigned long long>(mantissa),
+                  static_cast<int>(rng.next_in(-330, 300)));
+    expect_matches_reference(std::strtod(text, nullptr), mismatches);
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(JsonNumber, MatchesPrintfOracleOnPowersOfTwoAndNeighbours) {
+  // Below a power of two the rounding interval is asymmetric: the shortest
+  // digits are not always the correctly rounded ones.
+  int mismatches = 0;
+  for (int e = -1074; e <= 1023; ++e) {
+    for (const double sign : {1.0, -1.0}) {
+      const double p = sign * std::ldexp(1.0, e);
+      expect_matches_reference(p, mismatches);
+      expect_matches_reference(std::nextafter(p, 0.0), mismatches);
+      expect_matches_reference(
+          std::nextafter(p, sign * std::numeric_limits<double>::infinity()),
+          mismatches);
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(JsonNumber, MatchesPrintfOracleOnEdgeValues) {
+  int mismatches = 0;
+  for (const double v :
+       {0.0, -0.0, DBL_MAX, -DBL_MAX, DBL_MIN, -DBL_MIN, DBL_TRUE_MIN,
+        -DBL_TRUE_MIN, std::nextafter(DBL_MIN, 0.0), DBL_EPSILON, 1.0 / 3.0,
+        0.1, 0.2, 0.3, 1e23, 5e-324, 9007199254740993.0, 123456789012345678.0})
+    expect_matches_reference(v, mismatches);
+  // Subnormals across their whole range, including the largest.
+  for (std::uint64_t bits = 1; bits < (std::uint64_t{1} << 52); bits = bits * 3 + 1)
+    expect_matches_reference(from_bits(bits), mismatches);
+  expect_matches_reference(from_bits((std::uint64_t{1} << 52) - 1), mismatches);
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_EQ(json_number(-0.0), "-0");
+  EXPECT_EQ(json_number(DBL_MAX), "1.7976931348623157e+308");
+  EXPECT_EQ(json_number(DBL_TRUE_MIN), "5e-324");
+  EXPECT_EQ(json_number(1e21), "1e+21");
+  for (const double v : {std::numeric_limits<double>::quiet_NaN(),
+                         -std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::signaling_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()}) {
+    EXPECT_EQ(json_number(v), "null");
+    EXPECT_EQ(reference_json_number(v), "null");
+  }
+}
+
 TEST(JsonWriter, EmptyContainers) {
   EXPECT_EQ(compact([](JsonWriter& w) {
               w.begin_object();
@@ -98,16 +213,103 @@ TEST(JsonWriter, ObjectMembersAndArrays) {
 }
 
 TEST(JsonWriter, PrettyPrintIsStable) {
+  EXPECT_EQ(render(2,
+                   [](JsonWriter& w) {
+                     w.begin_object();
+                     w.member("a", std::int64_t{1});
+                     w.key("b");
+                     w.begin_array();
+                     w.value(std::int64_t{2});
+                     w.end_array();
+                     w.end_object();
+                   }),
+            "{\n  \"a\": 1,\n  \"b\": [\n    2\n  ]\n}");
+}
+
+TEST(JsonWriter, SinksAgreeOnAWholeDocumentCompactAndIndented) {
+  const auto build = [](JsonWriter& w) {
+    w.begin_object();
+    w.member("name", std::string("fire2/\"squeeze\"\n"));
+    w.member("engine", "pe-array");
+    w.member("size", std::size_t{42});
+    w.member("index", -7);
+    w.member("ratio", 0.1);
+    w.member("big", 1e300);
+    w.member("none", std::numeric_limits<double>::quiet_NaN());
+    w.key("empty");
+    w.begin_object();
+    w.end_object();
+    w.key("rows");
+    w.begin_array();
+    for (int i = 0; i < 3; ++i) {
+      w.begin_object();
+      w.member("i", i);
+      w.member("on", i % 2 == 0);
+      w.key("xs");
+      w.begin_array();
+      w.value(i * 0.25);
+      w.null_value();
+      w.end_array();
+      w.end_object();
+    }
+    w.end_array();
+    w.end_object();
+  };
+  const std::string flat = render(0, build);
+  const std::string pretty = render(2, build);
+  EXPECT_EQ(parse_json(flat).at("rows").at(std::size_t{2}).at("i").as_int(), 2);
+  EXPECT_EQ(parse_json(pretty).at("name").as_string(), "fire2/\"squeeze\"\n");
+  EXPECT_NE(flat, pretty);
+}
+
+TEST(JsonWriter, StreamAdapterWritesOnlyTheCompletedDocument) {
   std::ostringstream os;
-  JsonWriter w(os, 2);
+  os << "before:";
+  JsonWriter w(os, /*indent=*/0);
   w.begin_object();
-  w.member("a", std::int64_t{1});
+  w.member("a", 1);
   w.key("b");
   w.begin_array();
-  w.value(std::int64_t{2});
+  w.value(2.5);
   w.end_array();
+  EXPECT_EQ(os.str(), "before:");  // nothing until the top level closes
   w.end_object();
-  EXPECT_EQ(os.str(), "{\n  \"a\": 1,\n  \"b\": [\n    2\n  ]\n}");
+  os << "\n";
+  EXPECT_EQ(os.str(), "before:{\"a\":1,\"b\":[2.5]}\n");
+
+  std::ostringstream abandoned;
+  {
+    JsonWriter half(abandoned);
+    half.begin_array();
+    half.value(1);
+  }
+  EXPECT_EQ(abandoned.str(), "");
+
+  std::ostringstream scalar;
+  JsonWriter one(scalar);
+  one.value(std::int64_t{-3});
+  EXPECT_EQ(scalar.str(), "-3");
+}
+
+TEST(JsonWriter, StringLiteralIsAStringNotABool) {
+  EXPECT_EQ(compact([](JsonWriter& w) { w.value("pe-array"); }),
+            "\"pe-array\"");
+  EXPECT_EQ(compact([](JsonWriter& w) {
+              w.begin_object();
+              w.member("engine", "simd");
+              w.member("on", true);
+              w.end_object();
+            }),
+            "{\"engine\":\"simd\",\"on\":true}");
+}
+
+TEST(JsonWriter, StringSinkAppendsToExistingText) {
+  std::string doc = "prefix ";
+  JsonWriter w(doc, /*indent=*/0);
+  w.begin_array();
+  w.value(std::int64_t{1});
+  w.end_array();
+  EXPECT_EQ(doc, "prefix [1]");
 }
 
 TEST(JsonWriter, RoundTripsThroughStrictParser) {
@@ -138,6 +340,18 @@ TEST(JsonWriter, RoundTripsThroughStrictParser) {
 
 TEST(JsonWriter, MisuseThrowsInsteadOfEmittingGarbage) {
   std::ostringstream os;
+  std::string doc;
+  {
+    JsonWriter w(doc);
+    w.begin_object();
+    EXPECT_THROW(w.value("v"), std::logic_error);  // key missing
+    EXPECT_THROW(w.end_array(), std::logic_error);  // mismatched close
+    w.key("k");
+    EXPECT_THROW(w.key("j"), std::logic_error);     // key after key
+    w.value(1);
+    w.end_object();
+    EXPECT_THROW(w.begin_array(), std::logic_error);  // second top level
+  }
   {
     JsonWriter w(os);
     w.begin_object();
