@@ -32,9 +32,10 @@
 // (a keep-alive connection parks in poll between requests), so their thread
 // count must track max_connections, not core count — on a one-core host the
 // global pool has no workers at all and would run handlers inline on the
-// accept thread, making keep-alive starve the listener. Simulations
-// themselves still fan out on util::ThreadPool::global() (`--jobs`), so
-// report provenance — and therefore byte-identity with the local CLI — is
+// accept thread, making keep-alive starve the listener. Simulations fan out
+// on util::ThreadPool::global() (`--jobs`): a handler's sweep enqueues its
+// points there and joins as one runner, exactly as the CLI does, so report
+// provenance — and therefore byte-identity with the local CLI — is
 // unchanged. Keep-alive is honored, so a client can issue a design-space
 // iteration over one connection. Results flow through the content-addressed
 // SimCache; repeated design points never re-simulate.

@@ -6,15 +6,34 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace sqz::util {
 
 namespace {
 
-// Set for the lifetime of a pool worker thread; nested parallel_for_index
-// calls from inside a task detect it and run inline instead of enqueueing
-// (a worker blocking on its own pool's queue could deadlock).
-thread_local bool tl_pool_worker = false;
+// The pool the current thread is running indices for: set for the lifetime
+// of a worker thread, and for a caller while it joins its own batch. A
+// nested parallel_for_index into that same pool runs inline instead of
+// enqueueing (a runner blocking on its own pool's queue could deadlock); a
+// call into any other pool enqueues like any outside caller.
+thread_local const ThreadPool* tl_pool_worker = nullptr;
+
+// Marks the caller as a runner of `pool` while it joins a batch, restoring
+// the previous mark afterwards: the caller may itself be a worker of
+// another pool (the server's dispatch pool).
+class RunnerScope {
+ public:
+  explicit RunnerScope(const ThreadPool* pool) : prev_(tl_pool_worker) {
+    tl_pool_worker = pool;
+  }
+  ~RunnerScope() { tl_pool_worker = prev_; }
+  RunnerScope(const RunnerScope&) = delete;
+  RunnerScope& operator=(const RunnerScope&) = delete;
+
+ private:
+  const ThreadPool* prev_;
+};
 
 }  // namespace
 
@@ -73,7 +92,7 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::worker_main() {
-  tl_pool_worker = true;
+  tl_pool_worker = this;
   for (;;) {
     std::function<void()> task;
     {
@@ -110,7 +129,10 @@ void ThreadPool::run_batch(const std::shared_ptr<Batch>& batch) {
   }
   work_cv_.notify_all();
 
-  batch->run_indices();
+  {
+    const RunnerScope scope(this);
+    batch->run_indices();
+  }
 
   std::unique_lock<std::mutex> lock(batch->mu);
   batch->done_cv.wait(lock, [&] { return batch->pending == 0; });
@@ -119,9 +141,9 @@ void ThreadPool::run_batch(const std::shared_ptr<Batch>& batch) {
 void ThreadPool::parallel_for_index(std::size_t n,
                                     const std::function<void(std::size_t)>& fn) {
   // Inline paths: trivial batches, a one-job pool, or a nested call from a
-  // worker thread. Exceptions propagate naturally.
+  // runner of this same pool. Exceptions propagate naturally.
   if (n == 0) return;
-  if (jobs_ == 1 || n == 1 || tl_pool_worker) {
+  if (jobs_ == 1 || n == 1 || tl_pool_worker == this) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
@@ -130,7 +152,12 @@ void ThreadPool::parallel_for_index(std::size_t n,
   batch->n = n;
   batch->fn = &fn;
   run_batch(batch);
-  if (batch->error) std::rethrow_exception(batch->error);
+  // Take the error out of the batch so the caller drops the last reference
+  // to it: a worker may release the batch itself after the caller returns,
+  // and TSan cannot see libstdc++'s exception refcount, so a final release
+  // on that worker reads as a race with the caller's handler.
+  const std::exception_ptr error = std::exchange(batch->error, nullptr);
+  if (error) std::rethrow_exception(error);
 }
 
 std::size_t ThreadPool::parallel_for_index_capture(
@@ -138,7 +165,7 @@ std::size_t ThreadPool::parallel_for_index_capture(
     std::vector<std::exception_ptr>& errors) {
   errors.assign(n, nullptr);
   if (n == 0) return 0;
-  if (jobs_ == 1 || n == 1 || tl_pool_worker) {
+  if (jobs_ == 1 || n == 1 || tl_pool_worker == this) {
     for (std::size_t i = 0; i < n; ++i) {
       try {
         fn(i);

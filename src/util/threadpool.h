@@ -9,8 +9,11 @@
 // Deliberately minimal — no work stealing, no futures. One blocking
 // primitive, `parallel_for_index(n, fn)`, runs fn(0..n-1) with the caller
 // thread participating, propagates the first worker exception to the
-// caller, executes inline when the pool has one job (or on nested calls,
-// which also makes nesting deadlock-free).
+// caller, and executes inline when the pool has one job or on a nested call
+// into the same pool (from one of its workers, or from a caller while it
+// runs its own batch), which keeps nesting deadlock-free. A call from a
+// worker of another pool (the server's dispatch pool) enqueues on this pool
+// like any outside caller, so calls between pools must not form a cycle.
 //
 // Job-count policy, strongest first: ThreadPool::set_global_jobs (the
 // `--jobs` CLI flag), the SQZ_JOBS environment variable, then
@@ -47,7 +50,9 @@ class ThreadPool {
   /// output, fn must write only to state owned by its own index. If any
   /// iteration throws, the first exception (in completion order) is
   /// rethrown on the caller after the batch drains; remaining indices are
-  /// abandoned. Nested calls from inside a worker run inline.
+  /// abandoned. A nested call into this same pool (from one of its workers,
+  /// or from the caller while it runs its own indices) runs inline; a call
+  /// from a worker of another pool enqueues here like any other caller.
   void parallel_for_index(std::size_t n,
                           const std::function<void(std::size_t)>& fn);
 
@@ -65,8 +70,10 @@ class ThreadPool {
   /// dispatch primitive of the serving layer (serve/server.h). With a
   /// one-job pool there are no workers, so the task runs inline on the
   /// caller before submit() returns. Tasks must not block waiting on other
-  /// submitted tasks (they may share the lone worker); nested
-  /// parallel_for_index from inside a task is fine (it runs inline).
+  /// submitted tasks (they may share the lone worker). A task may call
+  /// parallel_for_index: on this same pool it runs inline, on another pool
+  /// (the global simulation pool, from a dispatch-pool task) it fans out
+  /// there.
   void submit(std::function<void()> task);
 
   /// Process-wide pool used by the sweep layers. Created on first use with

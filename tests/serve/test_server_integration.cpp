@@ -15,9 +15,11 @@
 #include <vector>
 
 #include "core/cli.h"
+#include "serve/api.h"
 #include "serve/http.h"
 #include "serve/server.h"
 #include "util/json_parse.h"
+#include "util/threadpool.h"
 
 namespace sqz::serve {
 namespace {
@@ -391,6 +393,42 @@ TEST(ServeSweepJournal, PartialSweepCountsOnMetricsAndIsNotCached) {
             std::string::npos);
   EXPECT_NE(metrics.body.find("sqzserved_sweep_resumed_total 0"),
             std::string::npos);
+}
+
+TEST(ServeSweepParallel, ResponsesAreByteIdenticalAcrossJobCounts) {
+  // Served sweeps fan out on the global simulation pool from a dispatch-pool
+  // handler. Results land in position-indexed slots, so the response bytes
+  // must not depend on the pool width, and must equal run_sweep called from
+  // a plain thread.
+  const std::vector<std::string> bodies = {
+      R"({"model":"squeezenet11","sweep":{"knob":"rf_entries",)"
+      R"("values":[4,8,16,32]}})",
+      R"({"model":"tinydarknet","options":{"tile_search":true},)"
+      R"("sweep":{"knob":"array_n","values":[8,16,32]}})",
+      // array_n=2000 fails pre-flight: a partial response with a PointError.
+      R"({"model":"squeezenet11","sweep":{"knob":"array_n",)"
+      R"("values":[8,2000,16]}})",
+  };
+  std::vector<std::string> expected;
+  for (const std::string& body : bodies)
+    expected.push_back(run_sweep(parse_sweep_request(body)));
+  ASSERT_NE(expected[2].find("\"errors\""), std::string::npos);
+
+  for (const int jobs : {1, 4}) {
+    util::ThreadPool::set_global_jobs(jobs);
+    ServerOptions opt;
+    opt.port = 0;
+    Server server(opt);  // a fresh cache per width: every sweep executes
+    server.start();
+    for (std::size_t i = 0; i < bodies.size(); ++i) {
+      const HttpResponse r = post(server.port(), "/v1/sweep", bodies[i]);
+      ASSERT_EQ(r.status, 200) << r.body;
+      ASSERT_NE(r.header("X-Sqz-Cache"), nullptr);
+      EXPECT_EQ(*r.header("X-Sqz-Cache"), "miss");
+      EXPECT_EQ(r.body, expected[i]) << "jobs=" << jobs << " sweep " << i;
+    }
+  }
+  util::ThreadPool::set_global_jobs(0);  // back to the default policy
 }
 
 }  // namespace

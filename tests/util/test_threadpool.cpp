@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdlib>
+#include <future>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -88,14 +92,92 @@ TEST(ThreadPool, PoolStaysUsableAfterException) {
 }
 
 TEST(ThreadPool, NestedParallelForDoesNotDeadlock) {
+  // A nested call into the same pool runs inline on whichever runner owns
+  // the outer index — a worker or the participating caller — so every inner
+  // index lands on its outer index's thread.
   ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(16);
-  pool.parallel_for_index(4, [&](std::size_t outer) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::atomic<int>> hits(32);
+  std::vector<std::thread::id> outer_ids(8);
+  std::vector<std::thread::id> inner_ids(32);
+  pool.parallel_for_index(8, [&](std::size_t outer) {
+    outer_ids[outer] = std::this_thread::get_id();
     pool.parallel_for_index(4, [&](std::size_t inner) {
       hits[outer * 4 + inner].fetch_add(1);
+      inner_ids[outer * 4 + inner] = std::this_thread::get_id();
+      // Slow down the caller's inner indices so that, were they enqueued
+      // rather than run inline, an idle worker would claim some of them.
+      if (outer_ids[outer] == caller)
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
     });
   });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  for (std::size_t i = 0; i < inner_ids.size(); ++i)
+    EXPECT_EQ(inner_ids[i], outer_ids[i / 4]) << i;
+}
+
+// Two-party meeting point with a bounded wait, so a test that needs two
+// indices to run concurrently fails instead of hanging when they do not.
+class Rendezvous {
+ public:
+  /// True once both parties have arrived; false if the other party has not
+  /// shown up within `limit`.
+  bool arrive(std::chrono::milliseconds limit) {
+    std::unique_lock<std::mutex> lock(mu_);
+    ++arrived_;
+    cv_.notify_all();
+    return cv_.wait_for(lock, limit, [&] { return arrived_ >= 2; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int arrived_ = 0;
+};
+
+TEST(ThreadPool, CallFromAnotherPoolsWorkerFansOut) {
+  // The serving path: a dispatch-pool task calls into the simulation pool.
+  // Only the target pool's own runners count as nested; this call must
+  // enqueue on `sim`, so its worker runs one index while the dispatch
+  // worker runs the other. Run inline, fn(0) would wait out the rendezvous
+  // alone.
+  ThreadPool dispatch(2);
+  ThreadPool sim(2);
+  Rendezvous meet;
+  std::vector<char> met(2, 0);
+  std::vector<std::thread::id> ids(2);
+  std::thread::id task_thread;
+  std::promise<void> done;
+  dispatch.submit([&] {
+    task_thread = std::this_thread::get_id();
+    sim.parallel_for_index(2, [&](std::size_t i) {
+      ids[i] = std::this_thread::get_id();
+      met[i] = meet.arrive(std::chrono::seconds(5));
+    });
+    done.set_value();
+  });
+  done.get_future().get();
+  EXPECT_TRUE(met[0]);
+  EXPECT_TRUE(met[1]);
+  EXPECT_NE(ids[0], ids[1]);
+  EXPECT_TRUE(ids[0] == task_thread || ids[1] == task_thread);
+}
+
+TEST(ThreadPool, CallFromSamePoolsWorkerRunsInline) {
+  ThreadPool pool(4);
+  std::vector<std::thread::id> ids(16);
+  std::thread::id task_thread;
+  std::promise<void> done;
+  pool.submit([&] {
+    task_thread = std::this_thread::get_id();
+    pool.parallel_for_index(ids.size(), [&](std::size_t i) {
+      ids[i] = std::this_thread::get_id();
+    });
+    done.set_value();
+  });
+  done.get_future().get();
+  EXPECT_NE(task_thread, std::this_thread::get_id());
+  for (const auto& id : ids) EXPECT_EQ(id, task_thread);
 }
 
 TEST(ThreadPool, JobsOneExecutesInlineOnTheCaller) {
@@ -171,9 +253,11 @@ TEST(ThreadPool, SubmitOnOneJobPoolRunsInline) {
 }
 
 TEST(ThreadPool, SubmittedTaskCanRunNestedParallelFor) {
-  // The serving path: a connection handler submitted onto the pool runs
-  // simulations that themselves call parallel_for_index. The nested call
-  // must execute inline on the worker rather than deadlock on the queue.
+  // A submitted task that calls parallel_for_index on its own pool: the
+  // nested call must execute inline on the worker rather than deadlock on
+  // the queue. (Connection handlers run on the server's separate dispatch
+  // pool; their calls into the simulation pool fan out instead, see
+  // CallFromAnotherPoolsWorkerFansOut.)
   ThreadPool pool(2);
   std::atomic<int> sum{0};
   std::atomic<bool> done{false};
