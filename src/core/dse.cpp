@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <optional>
 #include <ostream>
 
 #include "core/config_io.h"
@@ -228,9 +229,8 @@ SweepOutcome evaluate_designs_checked(
   std::vector<char> restored(n, 0);
   if (opt.journal) {
     for (std::size_t i = 0; i < n; ++i) {
-      const auto it = opt.journal->entries().find(keys[i]);
-      if (it == opt.journal->entries().end()) continue;
-      if (!parse_point_value(it->second, slots[i])) continue;
+      const std::optional<std::string> value = opt.journal->find(keys[i]);
+      if (!value || !parse_point_value(*value, slots[i])) continue;
       slots[i].label = configs[i].first;
       slots[i].config = configs[i].second;
       restored[i] = 1;

@@ -206,6 +206,18 @@ void SweepJournal::append_record(const char* magic, const std::string& key,
     membership_.emplace_back(key, value);
 }
 
+std::optional<std::string> SweepJournal::find(const std::string& key) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = entries_.find(key);
+  if (it == entries_.end()) return std::nullopt;
+  return it->second;
+}
+
+std::unordered_map<std::string, std::string> SweepJournal::entries() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return entries_;
+}
+
 void SweepJournal::append(const std::string& key, const std::string& value) {
   append_record(kPointMagic, key, value);
 }

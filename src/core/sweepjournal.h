@@ -56,6 +56,7 @@
 #include <cstddef>
 #include <fstream>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -109,11 +110,17 @@ class SweepJournal {
   SweepJournal(const SweepJournal&) = delete;
   SweepJournal& operator=(const SweepJournal&) = delete;
 
-  /// Completed points recovered at open (key -> metrics JSON). Later
-  /// duplicate records win, matching append order.
-  const std::unordered_map<std::string, std::string>& entries() const {
-    return entries_;
-  }
+  /// The journaled metrics JSON of one completed point, recovered at open
+  /// or appended since; nullopt when `key` has no record. Thread-safe
+  /// against concurrent appends (a served journal is shared by every
+  /// concurrent sweep).
+  std::optional<std::string> find(const std::string& key) const;
+
+  /// A snapshot of every completed point, recovered at open or appended
+  /// since (key -> metrics JSON); later duplicate records win, matching
+  /// append order. A copy taken under the lock — for tests and tools, not
+  /// per-point lookups (use find()).
+  std::unordered_map<std::string, std::string> entries() const;
 
   /// Membership events recovered at open, in append order. The coordinator
   /// replays these to rebuild the lease table on standby takeover.
@@ -151,9 +158,9 @@ class SweepJournal {
 
   std::string path_;
   int lock_fd_ = -1;  ///< Exclusive flock on lock_path(); held until ~.
-  std::mutex mu_;
+  mutable std::mutex mu_;
   std::ofstream out_;  ///< Append-positioned after recovery; guarded by mu_.
-  std::unordered_map<std::string, std::string> entries_;
+  std::unordered_map<std::string, std::string> entries_;  ///< Guarded by mu_.
   std::vector<MembershipEvent> membership_;
   Recovery recovery_;
 };

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <deque>
 #include <map>
-#include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -34,9 +33,8 @@ struct Coordinator::Flight {
     core::PointError error;  ///< When !ok.
   };
 
-  std::mutex m;
-  std::condition_variable cv;
-  bool done = false;      ///< Guarded by m; set exactly once.
+  // Guarded by Coordinator::mu_; a done flight is never written again.
+  bool done = false;      ///< Set exactly once, when the owner publishes.
   bool ok = false;        ///< done: slots are valid (else fail_what is).
   std::string fail_what;  ///< done && !ok: the dispatch diagnostic.
   std::vector<Slot> slots;
@@ -144,10 +142,11 @@ bool parse_chunk_response(const std::string& body,
   }
 }
 
-enum class ChunkState { Queued, InFlight, Done, Failed };
+enum class ChunkState { Queued, Parked, InFlight, Done, Failed };
 
 /// One dispatched chunk. idx/labels/body/hash/flight/owner are immutable
-/// after sharding; the dispatch state below them is guarded by Run::mu.
+/// after sharding; the dispatch state below them is guarded by
+/// Coordinator::mu_.
 struct Chunk {
   std::vector<std::size_t> idx;     ///< Global point indices, input order.
   std::vector<std::string> labels;  ///< Sweep labels, aligned with idx.
@@ -157,21 +156,25 @@ struct Chunk {
   bool owner = false;  ///< This run dispatches; a waiter only observes.
 
   ChunkState state = ChunkState::Queued;
-  std::vector<int> tried;    ///< Workers this chunk was already sent to.
-  Clock::time_point started{};  ///< Last primary dispatch, for straggling.
+  std::vector<int> tried;  ///< Workers this chunk was already sent to.
+  /// The monitor's next look: the straggler deadline while InFlight, the
+  /// requeue time while Parked.
+  Clock::time_point wake_at{};
   int requeues = 0;
   bool steal_pending = false;  ///< A steal is queued or on the wire.
 };
 
 /// Per-run_sweep dispatch state shared between the dispatcher threads and
-/// the straggler monitor.
+/// the monitor; guarded by Coordinator::mu_.
 struct Run {
-  std::mutex mu;
-  std::condition_variable cv;
   std::vector<Chunk> chunks;
   std::deque<std::pair<std::size_t, bool>> queue;  ///< (chunk, is_steal).
   bool quit = false;
 };
+
+/// How long a chunk that found no usable worker stays parked before it is
+/// requeued: a beat for probation to readmit somebody.
+constexpr std::chrono::milliseconds kParkFor{50};
 
 }  // namespace
 
@@ -280,28 +283,6 @@ void Coordinator::record_takeover(const std::string& standby_addr) {
   if (metrics_) metrics_->record_coord_takeover();
 }
 
-std::shared_ptr<Coordinator::Flight> Coordinator::attach_flight(
-    const std::string& chunk_body, std::size_t chunk_size, bool& owner) {
-  std::lock_guard<std::mutex> lock(flights_mu_);
-  std::shared_ptr<Flight>& slot = flights_[chunk_body];
-  if (slot) {
-    owner = false;
-    if (metrics_) metrics_->record_coord_singleflight_hit();
-    return slot;
-  }
-  slot = std::make_shared<Flight>();
-  slot->slots.resize(chunk_size);
-  owner = true;
-  return slot;
-}
-
-void Coordinator::finish_flight(const std::string& chunk_body,
-                                const std::shared_ptr<Flight>& flight) {
-  std::lock_guard<std::mutex> lock(flights_mu_);
-  const auto it = flights_.find(chunk_body);
-  if (it != flights_.end() && it->second == flight) flights_.erase(it);
-}
-
 std::string Coordinator::run_sweep(const SweepRequest& req,
                                    core::SweepJournal* journal,
                                    SweepRunStats* stats) {
@@ -333,9 +314,8 @@ std::string Coordinator::run_sweep(const SweepRequest& req,
   std::vector<std::size_t> pending;
   for (std::size_t i = 0; i < n; ++i) {
     if (journal) {
-      const auto it = journal->entries().find(keys[i]);
-      if (it != journal->entries().end() &&
-          core::parse_design_point_value(it->second, points[i])) {
+      const std::optional<std::string> value = journal->find(keys[i]);
+      if (value && core::parse_design_point_value(*value, points[i])) {
         have[i] = 1;
         ++outcome.resumed;
         continue;
@@ -365,114 +345,97 @@ std::string Coordinator::run_sweep(const SweepRequest& req,
         for (const std::size_t i : c.idx) c.labels.push_back(configs[i].first);
         c.body = chunk_request_body(req, model_text, config_ini, c.idx);
         c.hash = util::fnv1a64(keys[c.idx.front()]);
-        c.flight = attach_flight(c.body, c.idx.size(), c.owner);
         run.chunks.push_back(std::move(c));
       }
     }
   }
+  // Single-flight: attach to an identical chunk already in flight, or own
+  // a new flight.
+  std::size_t owned = 0;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    for (Chunk& c : run.chunks) {
+      std::shared_ptr<Flight>& f = flights_[c.body];
+      c.owner = !f;
+      if (c.owner) {
+        f = std::make_shared<Flight>();
+        run.queue.emplace_back(&c - run.chunks.data(), false);
+        ++owned;
+      } else if (metrics_) {
+        metrics_->record_coord_singleflight_hit();
+      }
+      c.flight = f;
+    }
+  }
 
-  // Completion: journal first (the on-disk record *is* the crash-safety
-  // contract, so a point only reports success once its append stuck), then
-  // publish the flight exactly once and drop it from the single-flight map.
-  const auto fail_flight = [&](Chunk& c, const std::string& what) {
-    {
-      std::lock_guard<std::mutex> lk(c.flight->m);
-      if (!c.flight->done) {
-        c.flight->ok = false;
-        c.flight->fail_what = what;
-        c.flight->done = true;
-      }
-    }
-    c.flight->cv.notify_all();
-    finish_flight(c.body, c.flight);
-  };
-  const auto complete_flight = [&](Chunk& c, std::vector<Slot> slots) {
-    if (journal) {
-      for (std::size_t p = 0; p < slots.size(); ++p) {
-        if (!slots[p].ok) continue;
-        core::DesignPoint dp;
-        dp.cycles = slots[p].cycles;
-        dp.energy = slots[p].energy;
-        dp.utilization = slots[p].utilization;
-        try {
-          journal->append(keys[c.idx[p]], core::design_point_value_json(dp));
-        } catch (const core::SweepJournalError& e) {
-          slots[p].ok = false;
-          slots[p].error = core::PointError{
-              c.labels[p], core::design_point_short_key(keys[c.idx[p]]),
-              "journal", e.what()};
-        }
-      }
-    }
-    {
-      std::lock_guard<std::mutex> lk(c.flight->m);
-      if (!c.flight->done) {
-        c.flight->ok = true;
-        c.flight->slots = std::move(slots);
-        c.flight->done = true;
-      }
-    }
-    c.flight->cv.notify_all();
-    finish_flight(c.body, c.flight);
+  const auto straggler =
+      std::chrono::milliseconds(std::max(1, options_.straggler_ms));
+
+  // Publication (caller holds mu_): record the flight's outcome, drop it
+  // from the single-flight map, and wake every run — waiters that attached
+  // to this flight included.
+  const auto publish = [&](Chunk& c, bool ok, std::vector<Slot> slots,
+                           const std::string& what) {
+    Flight& f = *c.flight;
+    f.ok = ok;
+    f.slots = std::move(slots);
+    f.fail_what = what;
+    f.done = true;
+    flights_.erase(c.body);  // only the owner publishes, exactly once
+    cv_.notify_all();
   };
 
-  const auto dispatch_chunk = [&](std::size_t ci, bool is_steal) {
+  // Placement (caller holds mu_): the worker a queued job goes to, or -1
+  // when there is nothing to send — the chunk settled meanwhile, a steal
+  // found no other worker, or no worker is usable at all.
+  const auto place = [&](std::size_t ci, bool is_steal) -> int {
     Chunk& c = run.chunks[ci];
-    int w = -1;
-    {
-      std::lock_guard<std::mutex> lk(run.mu);
-      if (c.state == ChunkState::Done || c.state == ChunkState::Failed) {
-        if (is_steal) c.steal_pending = false;
-        return;
-      }
-      w = pool_.route(c.hash, c.tried);
-      // Every usable worker was already tried: a requeue retreads the ring
-      // rather than wasting its remaining budget on an empty exclusion set.
-      if (w < 0 && !is_steal && !c.tried.empty()) w = pool_.route(c.hash);
-      if (w >= 0) {
-        c.tried.push_back(w);
-        if (!is_steal) {
-          c.state = ChunkState::InFlight;
-          c.started = Clock::now();
-        }
-      }
+    if (c.state == ChunkState::Done || c.state == ChunkState::Failed) {
+      if (is_steal) c.steal_pending = false;
+      return -1;
     }
-
-    if (w < 0) {
-      if (is_steal) {
-        std::lock_guard<std::mutex> lk(run.mu);
-        c.steal_pending = false;
-        return;
+    int w = pool_.route(c.hash, c.tried);
+    // Every usable worker was already tried: a requeue retreads the ring
+    // rather than wasting its remaining budget on an empty exclusion set.
+    if (w < 0 && !is_steal && !c.tried.empty()) w = pool_.route(c.hash);
+    if (w >= 0) {
+      c.tried.push_back(w);
+      if (!is_steal) {
+        c.state = ChunkState::InFlight;
+        c.wake_at = Clock::now() + straggler;
+        cv_.notify_all();  // the monitor takes on a new straggler deadline
       }
-      // The whole fleet is ejected. Burn one requeue, give probation a beat
-      // to readmit somebody, and spin again; exhaustion fails the chunk.
-      bool exhausted = false;
-      {
-        std::lock_guard<std::mutex> lk(run.mu);
-        if (++c.requeues > options_.max_requeues) {
-          c.state = ChunkState::Failed;
-          exhausted = true;
-        } else {
-          c.state = ChunkState::Queued;
-        }
-      }
-      if (exhausted) {
-        fail_flight(c, "no usable worker (fleet of " +
-                           std::to_string(pool_.member_count()) +
-                           " members, none usable)");
-        run.cv.notify_all();
-        return;
-      }
-      if (metrics_) metrics_->record_coord_requeue(c.idx.size());
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      {
-        std::lock_guard<std::mutex> lk(run.mu);
-        run.queue.emplace_back(ci, false);
-      }
-      run.cv.notify_all();
-      return;
+      return w;
     }
+    if (is_steal) {
+      c.steal_pending = false;
+      return -1;
+    }
+    // The whole fleet is unusable: burn one requeue and park the chunk
+    // until the monitor requeues it; exhaustion fails the chunk.
+    if (++c.requeues > options_.max_requeues) {
+      c.state = ChunkState::Failed;
+      publish(c, false, {},
+              "no usable worker (fleet of " +
+                  std::to_string(pool_.member_count()) +
+                  " members, none usable)");
+      return -1;
+    }
+    if (metrics_) metrics_->record_coord_requeue(c.idx.size());
+    c.state = ChunkState::Parked;
+    c.wake_at = Clock::now() + kParkFor;
+    cv_.notify_all();
+    return -1;
+  };
 
+  // One dispatch on the wire, without the lock.
+  struct Sent {
+    bool ok = false;
+    bool fatal = false;  ///< Deterministic rejection: do not requeue.
+    std::string fail;
+    std::vector<Slot> slots;
+  };
+  const auto send = [&](const Chunk& c, int w, bool is_steal) {
     // The chaos seams: "coord.steal" stalls a primary dispatch so the
     // straggler monitor provably fires; "coord.dispatch" fails the send
     // before a socket is ever touched.
@@ -487,12 +450,9 @@ std::string Coordinator::run_sweep(const SweepRequest& req,
       metrics_->record_coord_dispatch(c.idx.size());
       metrics_->coord_chunk_started();
     }
-    bool ok = false;
-    bool fatal = false;
-    std::string fail;
-    std::vector<Slot> slots;
+    Sent r;
     if (injected) {
-      fail = "worker " + where + ": injected dispatch fault (coord.dispatch)";
+      r.fail = "worker " + where + ": injected dispatch fault (coord.dispatch)";
     } else {
       try {
         HttpRequest hr;
@@ -512,155 +472,158 @@ std::string Coordinator::run_sweep(const SweepRequest& req,
           metrics_->record_coord_retries(
               static_cast<std::uint64_t>(attempts - 1));
         if (resp.status == 200) {
-          if (parse_chunk_response(resp.body, c.labels, slots))
-            ok = true;
+          if (parse_chunk_response(resp.body, c.labels, r.slots))
+            r.ok = true;
           else
-            fail = "worker " + where + " returned an unparseable sweep body";
+            r.fail = "worker " + where + " returned an unparseable sweep body";
         } else if (resp.status >= 400 && resp.status < 500) {
           // The worker is alive and rejected the chunk deterministically:
           // the same bytes cannot fare better elsewhere.
-          fatal = true;
-          fail = "worker " + where + " rejected the chunk: HTTP " +
-                 std::to_string(resp.status);
+          r.fatal = true;
+          r.fail = "worker " + where + " rejected the chunk: HTTP " +
+                   std::to_string(resp.status);
         } else {
-          fail =
+          r.fail =
               "worker " + where + " answered HTTP " + std::to_string(resp.status);
         }
       } catch (const FetchError& e) {
-        fail = "worker " + where + ": " + e.what();
+        r.fail = "worker " + where + ": " + e.what();
       }
     }
     if (metrics_) metrics_->coord_chunk_finished();
-    pool_.report(static_cast<std::size_t>(w), ok || fatal);
+    pool_.report(static_cast<std::size_t>(w), r.ok || r.fatal);
+    return r;
+  };
 
-    if (ok) {
-      // First valid result wins; a steal-race loser lands here with the
-      // chunk already Done and discards its copy. The same rule covers
-      // membership churn: a chunk dispatched under an older ring epoch is
-      // accepted when it lands — the epoch versions routing, not results.
-      bool winner = false;
-      {
-        std::lock_guard<std::mutex> lk(run.mu);
-        if (c.state != ChunkState::Done && c.state != ChunkState::Failed) {
-          c.state = ChunkState::Done;
-          winner = true;
-        }
-        if (is_steal) c.steal_pending = false;
+  // Journal a winning chunk's points before publishing them (the on-disk
+  // record *is* the crash-safety contract, so a point only reports success
+  // once its append stuck). Runs without the lock: appends flush to disk.
+  const auto journal_slots = [&](const Chunk& c, std::vector<Slot>& slots) {
+    for (std::size_t p = 0; p < slots.size(); ++p) {
+      if (!slots[p].ok) continue;
+      core::DesignPoint dp;
+      dp.cycles = slots[p].cycles;
+      dp.energy = slots[p].energy;
+      dp.utilization = slots[p].utilization;
+      try {
+        journal->append(keys[c.idx[p]], core::design_point_value_json(dp));
+      } catch (const core::SweepJournalError& e) {
+        slots[p].ok = false;
+        slots[p].error = core::PointError{
+            c.labels[p], core::design_point_short_key(keys[c.idx[p]]),
+            "journal", e.what()};
       }
-      if (winner) complete_flight(c, std::move(slots));
-      run.cv.notify_all();
-      return;
     }
-    if (fatal) {
-      bool first = false;
-      {
-        std::lock_guard<std::mutex> lk(run.mu);
-        if (c.state != ChunkState::Done && c.state != ChunkState::Failed) {
-          c.state = ChunkState::Failed;
-          first = true;
+  };
+
+  const auto dispatcher = [&] {
+    std::unique_lock<std::mutex> lk(mu_);
+    for (;;) {
+      cv_.wait(lk, [&] { return run.quit || !run.queue.empty(); });
+      if (run.queue.empty()) return;  // quit, and nothing left to run
+      const auto [ci, is_steal] = run.queue.front();
+      run.queue.pop_front();
+      const int w = place(ci, is_steal);
+      if (w < 0) continue;
+      Chunk& c = run.chunks[ci];
+      lk.unlock();
+      Sent r = send(c, w, is_steal);
+      lk.lock();
+
+      if (is_steal) c.steal_pending = false;
+      const bool settled =
+          c.state == ChunkState::Done || c.state == ChunkState::Failed;
+      if ((r.ok || r.fatal) && !settled) {
+        // First valid result wins; a steal-race loser finds the chunk
+        // settled and discards its copy. The same rule covers membership
+        // churn: a chunk dispatched under an older ring epoch is accepted
+        // when it lands — the epoch versions routing, not results.
+        c.state = r.ok ? ChunkState::Done : ChunkState::Failed;
+        if (r.ok && journal) {
+          lk.unlock();
+          journal_slots(c, r.slots);
+          lk.lock();
         }
-        if (is_steal) c.steal_pending = false;
-      }
-      if (first) fail_flight(c, fail);
-      run.cv.notify_all();
-      return;
-    }
-    // Retryable failure: the primary requeues (budget permitting); a failed
-    // steal just retires — its primary is still in flight.
-    bool requeued = false;
-    bool exhausted = false;
-    {
-      std::lock_guard<std::mutex> lk(run.mu);
-      if (is_steal) {
-        c.steal_pending = false;
-      } else if (c.state == ChunkState::InFlight) {
+        publish(c, r.ok, std::move(r.slots), r.fail);
+      } else if (!r.ok && !r.fatal && !is_steal &&
+                 c.state == ChunkState::InFlight) {
+        // Retryable failure: the primary requeues (budget permitting); a
+        // failed steal just retires — its primary is still in flight.
         if (++c.requeues > options_.max_requeues) {
           c.state = ChunkState::Failed;
-          exhausted = true;
+          publish(c, false, {},
+                  r.fail + " (chunk failed after " +
+                      std::to_string(options_.max_requeues) + " requeues)");
         } else {
           c.state = ChunkState::Queued;
           run.queue.emplace_back(ci, false);
-          requeued = true;
+          if (metrics_) metrics_->record_coord_requeue(c.idx.size());
         }
       }
+      cv_.notify_all();  // a retired steal may let the monitor steal again
     }
-    if (requeued && metrics_) metrics_->record_coord_requeue(c.idx.size());
-    if (exhausted)
-      fail_flight(c, fail + " (chunk failed after " +
-                         std::to_string(options_.max_requeues) + " requeues)");
-    run.cv.notify_all();
   };
 
   // Dispatcher pool: wide enough to keep every worker busy and to let a
   // steal overtake a stalled primary, bounded so a huge fleet cannot fork
   // a thread herd per request.
-  std::size_t owned = 0;
-  for (const Chunk& c : run.chunks) owned += c.owner ? 1 : 0;
   std::vector<std::thread> dispatchers;
-  if (owned > 0) {
-    {
-      std::lock_guard<std::mutex> lk(run.mu);
-      for (std::size_t ci = 0; ci < run.chunks.size(); ++ci)
-        if (run.chunks[ci].owner) run.queue.emplace_back(ci, false);
-    }
-    const std::size_t width = std::min<std::size_t>(
-        std::max<std::size_t>(2, 2 * pool_.size()), 8);
-    for (std::size_t t = 0; t < std::min(width, owned + 1); ++t)
-      dispatchers.emplace_back([&] {
-        for (;;) {
-          std::pair<std::size_t, bool> job;
-          {
-            std::unique_lock<std::mutex> lk(run.mu);
-            run.cv.wait(lk, [&] { return run.quit || !run.queue.empty(); });
-            if (run.queue.empty()) return;  // quit, and nothing left to run
-            job = run.queue.front();
-            run.queue.pop_front();
-          }
-          dispatch_chunk(job.first, job.second);
-        }
-      });
-  }
+  const std::size_t width =
+      std::min<std::size_t>(std::max<std::size_t>(2, 2 * pool_.size()), 8);
+  for (std::size_t t = 0; owned > 0 && t < std::min(width, owned + 1); ++t)
+    dispatchers.emplace_back(dispatcher);
 
-  // Monitor: poll for completion (waiter chunks finish under another run's
-  // dispatchers) and re-dispatch owned stragglers to a different worker.
-  const auto straggler =
-      std::chrono::milliseconds(std::max(1, options_.straggler_ms));
-  for (;;) {
-    bool all_done = true;
-    for (Chunk& c : run.chunks) {
-      std::lock_guard<std::mutex> lk(c.flight->m);
-      all_done = all_done && c.flight->done;
-    }
-    if (all_done) break;
-    {
-      std::lock_guard<std::mutex> lk(run.mu);
+  // Monitor: wait until every flight is done (waiter chunks finish under
+  // another run's dispatchers) or the earliest deadline passes — requeue
+  // parked chunks, and re-dispatch owned stragglers to a different worker.
+  {
+    std::unique_lock<std::mutex> lk(mu_);
+    for (;;) {
       const Clock::time_point now = Clock::now();
+      Clock::time_point next = Clock::time_point::max();
+      bool all_done = true;
+      bool queued = false;
       for (std::size_t ci = 0; ci < run.chunks.size(); ++ci) {
         Chunk& c = run.chunks[ci];
-        if (!c.owner || c.state != ChunkState::InFlight || c.steal_pending)
+        all_done = all_done && c.flight->done;
+        const bool parked = c.state == ChunkState::Parked;
+        if (!parked && (c.state != ChunkState::InFlight || c.steal_pending))
           continue;
-        if (now - c.started < straggler) continue;
-        if (pool_.route(c.hash, c.tried) < 0) continue;  // nowhere to steal to
-        c.steal_pending = true;
-        run.queue.emplace_back(ci, true);
-        if (metrics_) metrics_->record_coord_steal();
+        if (c.wake_at <= now) {
+          if (parked) {
+            c.state = ChunkState::Queued;
+            run.queue.emplace_back(ci, false);
+            queued = true;
+            continue;
+          }
+          if (pool_.route(c.hash, c.tried) >= 0) {
+            c.steal_pending = true;
+            run.queue.emplace_back(ci, true);
+            queued = true;
+            if (metrics_) metrics_->record_coord_steal();
+            continue;
+          }
+          // Nowhere to steal to: look again a straggler window later.
+          c.wake_at = now + straggler;
+        }
+        next = std::min(next, c.wake_at);
       }
+      if (all_done) break;
+      if (queued) cv_.notify_all();
+      if (next == Clock::time_point::max())
+        cv_.wait(lk);
+      else
+        cv_.wait_until(lk, next);
     }
-    run.cv.notify_all();
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  {
-    std::lock_guard<std::mutex> lk(run.mu);
     run.quit = true;
   }
-  run.cv.notify_all();
+  cv_.notify_all();
   for (std::thread& th : dispatchers) th.join();
 
   // Merge: every chunk's flight is done; slots map back onto global point
   // indices, and a failed flight turns into per-point "dispatch" errors
   // under the same keys the sweep engine itself would have used.
-  for (Chunk& c : run.chunks) {
-    std::lock_guard<std::mutex> lk(c.flight->m);
+  for (const Chunk& c : run.chunks) {
     const Flight& f = *c.flight;
     for (std::size_t p = 0; p < c.idx.size(); ++p) {
       const std::size_t i = c.idx[p];

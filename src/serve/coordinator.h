@@ -30,11 +30,23 @@
 //     SIGKILL + restart re-dispatches only the unfinished points and the
 //     resumed dump is byte-identical.
 //
+// How a run waits: one coordinator mutex guards the single-flight map,
+// every flight's result, and every run's chunk states and dispatch queue;
+// one condition variable carries every event. A run's dispatcher threads
+// wait for queued chunks. The calling thread (the run's monitor) waits
+// until every chunk's flight is done or its earliest deadline passes: an
+// owned in-flight chunk's straggler deadline, or the requeue time of a
+// chunk parked because no worker was usable. Publishing a flight wakes
+// every run, so chunks that attached to another run's flight finish the
+// moment it lands. Nothing sleeps and nothing polls.
+//
 // /v1/simulate is always served locally by a coordinator.
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -136,12 +148,6 @@ class Coordinator {
   struct Flight;
 
  private:
-  /// The single-flight table: chunk request body -> in-flight result.
-  std::shared_ptr<Flight> attach_flight(const std::string& chunk_body,
-                                        std::size_t chunk_size, bool& owner);
-  void finish_flight(const std::string& chunk_body,
-                     const std::shared_ptr<Flight>& flight);
-
   /// Append one sqzm1 event; journal errors are logged, not fatal — a
   /// missed event only costs the standby one lease window (the worker
   /// re-registers via heartbeat).
@@ -153,7 +159,11 @@ class Coordinator {
   core::SweepJournal* journal_;
   WorkerPool pool_;
 
-  std::mutex flights_mu_;
+  /// Guards flights_, every Flight, and every run's dispatch state; cv_
+  /// is notified on every change a waiter could act on.
+  std::mutex mu_;
+  std::condition_variable cv_;
+  /// The single-flight table: chunk request body -> in-flight result.
   std::unordered_map<std::string, std::shared_ptr<Flight>> flights_;
 };
 

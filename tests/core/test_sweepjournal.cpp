@@ -4,11 +4,14 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
+#include <thread>
 
 #include "util/faultinject.h"
 #include "util/hash.h"
@@ -45,6 +48,35 @@ TEST(SweepJournal, RoundTripsAppendedRecords) {
   ASSERT_EQ(j.entries().size(), 2u);
   EXPECT_EQ(j.entries().at("point-a"), "{\"cycles\":1}");
   EXPECT_EQ(j.entries().at("point-b"), "{\"cycles\":2}");
+}
+
+TEST(SweepJournal, LookupsDoNotRaceAppends) {
+  // A served journal is shared by every concurrent sweep: one sweep's
+  // restore lookups run while another sweep's points append, and an append
+  // may rehash the table under the lookup.
+  const std::string dir = fresh_dir("lookup_race");
+  SweepJournal j(dir);
+  constexpr int kKeys = 3000;
+  std::atomic<bool> appended{false};
+  std::thread writer([&] {
+    for (int i = 0; i < kKeys; ++i)
+      j.append("point-" + std::to_string(i), std::to_string(i));
+    appended = true;
+  });
+  std::size_t found = 0;
+  do {
+    for (int i = 0; i < kKeys; i += 7) {
+      const std::optional<std::string> v = j.find("point-" + std::to_string(i));
+      if (!v) continue;
+      EXPECT_EQ(*v, std::to_string(i));
+      ++found;
+    }
+  } while (!appended);
+  writer.join();
+  EXPECT_GT(found, 0u);
+  EXPECT_EQ(j.entries().size(), static_cast<std::size_t>(kKeys));
+  EXPECT_EQ(j.find("point-2999").value_or(""), "2999");
+  EXPECT_FALSE(j.find("point-3000").has_value());
 }
 
 TEST(SweepJournal, LaterDuplicateKeyWins) {

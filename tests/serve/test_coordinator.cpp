@@ -18,6 +18,7 @@
 #include <unistd.h>
 #include <netinet/in.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <chrono>
@@ -29,10 +30,13 @@
 #include <thread>
 #include <vector>
 
+#include "core/config_io.h"
 #include "core/sweepjournal.h"
+#include "nn/serialize.h"
 #include "serve/api.h"
 #include "serve/server.h"
 #include "util/faultinject.h"
+#include "util/json.h"
 #include "util/json_parse.h"
 
 namespace sqz::serve {
@@ -890,6 +894,158 @@ TEST_F(CoordinatorDrill, WorkerPointErrorsPassThroughByteIdentically) {
   ASSERT_EQ(doc.at("errors").items.size(), 1u);
   EXPECT_EQ(doc.at("errors").at(std::size_t{0}).at("phase").as_string(),
             "validate");
+}
+
+// --- event-driven waits ------------------------------------------------------
+
+// The /v1/sweep body a coordinator posts for a sweep that fits one chunk:
+// the model as text, the config as INI, every option explicit (as
+// coordinator.cpp renders chunk requests).
+std::string single_chunk_body(const std::string& sweep_body) {
+  const SweepRequest req = parse_sweep_request(sweep_body);
+  std::string body;
+  util::JsonWriter w(body, /*indent=*/0);
+  w.begin_object();
+  w.member("model_text", nn::serialize_model(req.base.model));
+  w.member("config_ini", core::config_to_ini(req.base.config));
+  w.key("options");
+  w.begin_object();
+  w.member("objective", req.base.options.objective == sched::Objective::Energy
+                            ? "energy"
+                            : "cycles");
+  w.member("timeline", req.base.options.tile_timeline);
+  w.member("double_buffered", req.base.options.double_buffered);
+  w.member("tile_search", req.base.options.tile_search);
+  w.member("fuse", req.base.options.fuse_pool_drain);
+  w.end_object();
+  w.key("sweep");
+  w.begin_object();
+  w.member("knob", req.knob);
+  w.key("values");
+  w.begin_array();
+  for (const double v : req.values) w.value(v);
+  w.end_array();
+  w.end_object();
+  w.end_object();
+  return body;
+}
+
+double elapsed_ms(Clock::time_point since) {
+  return std::chrono::duration<double, std::milli>(Clock::now() - since)
+      .count();
+}
+
+TEST_F(CoordinatorDrill, FleetSweepIsNotHeldBackByATick) {
+  // A coordinator in front of one in-process worker, and an identical twin
+  // worker outside the fleet as the reference. Each round sweeps new design
+  // points through the fleet and posts the same chunk bodies straight to
+  // the twin: both workers simulate them cold, so the difference is what
+  // the coordinator adds. A run that waited on a clock would add at least
+  // one tick to every sweep. Each side's latency in a round is the best of
+  // three sweeps, so one scheduler stall on a loaded host (the sanitizer
+  // job runs suites in parallel) cannot decide a round; a tick is in every
+  // sweep and survives the minimum.
+  ServerOptions wopt;
+  wopt.port = 0;
+  Server worker(wopt);
+  worker.start();
+  Server twin(wopt);
+  twin.start();
+  ServerOptions opt;
+  opt.port = 0;
+  opt.coordinator.workers = {"127.0.0.1:" + std::to_string(worker.port())};
+  Server coord(opt);
+  coord.start();
+
+  int next_value = 16;
+  const auto new_point = [&] {
+    return R"({"model":"tinydarknet","sweep":{"knob":"rf_entries","values":[)" +
+           std::to_string(next_value++) + "]}}";
+  };
+  const auto best_of_3_ms = [](int port, const std::vector<std::string>& bodies) {
+    double best = 1e9;
+    for (const std::string& body : bodies) {
+      const Clock::time_point t0 = Clock::now();
+      const HttpResponse r = post_sweep(port, body);
+      best = std::min(best, elapsed_ms(t0));
+      EXPECT_EQ(r.status, 200) << r.body;
+      EXPECT_NE(r.body.find("\"points\""), std::string::npos) << r.body;
+    }
+    return best;
+  };
+  std::vector<double> overhead_ms;
+  std::string last;
+  for (int round = 0; round < 11; ++round) {
+    std::vector<std::string> direct;
+    std::vector<std::string> fleet;
+    for (int k = 0; k < 3; ++k) direct.push_back(single_chunk_body(new_point()));
+    for (int k = 0; k < 3; ++k) fleet.push_back(last = new_point());
+    const double direct_ms = best_of_3_ms(twin.port(), direct);
+    const double fleet_ms = best_of_3_ms(coord.port(), fleet);
+    overhead_ms.push_back(fleet_ms - direct_ms);
+  }
+  EXPECT_EQ(coord.metrics().snapshot().coord_points_dispatched, 33u);
+  // The twin ran what the coordinator sends: the reference body for the
+  // fleet's last point hits the fleet worker's cache.
+  const HttpResponse again = post_sweep(worker.port(), single_chunk_body(last));
+  ASSERT_NE(again.header("X-Sqz-Cache"), nullptr);
+  EXPECT_EQ(*again.header("X-Sqz-Cache"), "hit");
+
+  std::sort(overhead_ms.begin(), overhead_ms.end());
+  std::string all;
+  for (const double ms : overhead_ms) all += " " + std::to_string(ms);
+  EXPECT_LT(overhead_ms[5], 10.0) << "coordinator overhead per round (ms):"
+                                  << all;
+}
+
+TEST_F(CoordinatorDrill, NoUsableWorkerParksEachChunkUntilItsRequeuesRunOut) {
+  // A fleet of one live worker that every health probe fails: one failure
+  // ejects it, and a probation trial fails again. Every chunk then finds
+  // no usable worker, parks for a beat per requeue, and fails with a
+  // "dispatch" PointError once the requeue budget is spent.
+  ServerOptions wopt;
+  wopt.port = 0;
+  Server worker(wopt);
+  worker.start();
+  ServerOptions opt;
+  opt.port = 0;
+  opt.coordinator.workers = {"127.0.0.1:" + std::to_string(worker.port())};
+  opt.coordinator.probe.interval_ms = 20;
+  opt.coordinator.probe.fail_threshold = 1;
+  opt.coordinator.chunk_points = 2;
+  util::fault::arm("coord.health", util::fault::make_errno(ECONNREFUSED),
+                   1 << 30);
+  Server coord(opt);
+  coord.start();
+  ASSERT_TRUE(eventually([&] {
+    return util::parse_json(get(coord.port(), "/healthz").body)
+               .at("coordinator")
+               .at("workers_up")
+               .as_int() == 0;
+  }));
+
+  const std::string body =
+      R"({"model":"tinydarknet",)"
+      R"("sweep":{"knob":"rf_entries","values":[4,8,16]}})";
+  const Clock::time_point t0 = Clock::now();
+  const HttpResponse r = post_sweep(coord.port(), body);
+  EXPECT_LT(elapsed_ms(t0), 5000.0);
+  ASSERT_EQ(r.status, 200) << r.body;
+
+  const util::JsonValue doc = util::parse_json(r.body);
+  EXPECT_TRUE(doc.at("points").items.empty());
+  const util::JsonValue& errors = doc.at("errors");
+  ASSERT_EQ(errors.items.size(), 3u);
+  for (const util::JsonValue& e : errors.items) {
+    EXPECT_EQ(e.at("phase").as_string(), "dispatch");
+    EXPECT_NE(e.at("what").as_string().find("no usable worker"),
+              std::string::npos)
+        << e.at("what").as_string();
+  }
+  const Metrics::Snapshot m = coord.metrics().snapshot();
+  EXPECT_EQ(m.coord_points_requeued,
+            static_cast<std::uint64_t>(opt.coordinator.max_requeues) * 3u);
+  EXPECT_EQ(m.coord_points_dispatched, 0u);
 }
 
 }  // namespace
