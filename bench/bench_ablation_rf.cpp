@@ -12,15 +12,15 @@
 int main() {
   using namespace sqz;
   const auto base = sim::AcceleratorConfig::squeezelerator();
-  const std::vector<int> rf_sizes = {2, 4, 8, 16, 32, 64};
+  const std::vector<double> rf_sizes = {2, 4, 8, 16, 32, 64};
 
   for (const char* which : {"SqueezeNext", "SqueezeNet v1.0", "MobileNet"}) {
     const nn::Model m =
         std::string(which) == "SqueezeNext" ? nn::zoo::squeezenext()
         : std::string(which) == "MobileNet" ? nn::zoo::mobilenet()
                                             : nn::zoo::squeezenet_v10();
-    const auto points =
-        core::evaluate_designs(m, core::sweep_rf_entries(base, rf_sizes));
+    const auto points = core::evaluate_designs(
+        m, core::sweep_knob(base, "rf_entries", rf_sizes));
     util::Table t(util::format("RF-size ablation — %s", m.name().c_str()));
     t.set_header({"RF", "kcycles", "energy (M)", "util", "GB reads (M)"});
     for (const core::DesignPoint& p : points) {

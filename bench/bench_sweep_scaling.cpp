@@ -21,10 +21,10 @@ int main() {
   using Clock = std::chrono::steady_clock;
 
   const nn::Model model = nn::zoo::squeezenext();
-  std::vector<int> rf_values;
+  std::vector<double> rf_values;
   for (int v = 1; v <= 32; ++v) rf_values.push_back(v);
-  const auto configs = core::sweep_rf_entries(
-      sim::AcceleratorConfig::squeezelerator(), rf_values);
+  const auto configs = core::sweep_knob(
+      sim::AcceleratorConfig::squeezelerator(), "rf_entries", rf_values);
 
   std::printf("32-point RF sweep of %s; hardware concurrency %u\n\n",
               model.name().c_str(), std::thread::hardware_concurrency());

@@ -175,6 +175,18 @@ sim::AcceleratorConfig build_config(const CliOptions& opt) {
   return cfg;
 }
 
+sched::SimulationOptions build_sim_options(const CliOptions& opt) {
+  sched::SimulationOptions sim_opt;
+  if (opt.objective == "cycles") sim_opt.objective = sched::Objective::Cycles;
+  else if (opt.objective == "energy")
+    sim_opt.objective = sched::Objective::Energy;
+  else throw std::invalid_argument("--objective must be cycles|energy");
+  sim_opt.tile_timeline = opt.timeline || opt.tile_search;
+  sim_opt.tile_search = opt.tile_search;
+  sim_opt.fuse_pool_drain = opt.fuse;
+  return sim_opt;
+}
+
 // --connect: post the run to a sqzserved daemon (serve/server.h) instead of
 // simulating locally. The daemon executes the same core paths, so the JSON
 // it returns is byte-identical to what a local `--json` run writes.
@@ -270,12 +282,10 @@ int run_remote(const CliOptions& opt, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
-// --sweep KNOB=V1,V2,... -> labeled configurations, mirroring the serve
-// API's knob set (serve/api.h) so the CLI and /v1/sweep accept the same
-// sweeps.
-std::vector<std::pair<std::string, sim::AcceleratorConfig>> sweep_from_spec(
-    const std::string& spec, const sim::AcceleratorConfig& base,
-    std::string& knob_out) {
+// --sweep KNOB=V1,V2,... -> the knob and its values; core::sweep_knob
+// expands them exactly as /v1/sweep does.
+std::pair<std::string, std::vector<double>> parse_sweep_spec(
+    const std::string& spec) {
   const std::size_t eq = spec.find('=');
   if (eq == std::string::npos || eq == 0 || eq + 1 == spec.size())
     throw std::invalid_argument("--sweep expects KNOB=V1,V2,..., got '" +
@@ -295,26 +305,7 @@ std::vector<std::pair<std::string, sim::AcceleratorConfig>> sweep_from_spec(
                                   "'");
     values.push_back(v);
   }
-  knob_out = knob;
-
-  const auto integral = [&]() {
-    std::vector<int> out;
-    for (const double v : values) {
-      const int i = static_cast<int>(v);
-      if (static_cast<double>(i) != v)
-        throw std::invalid_argument("--sweep " + knob +
-                                    " expects integer values");
-      out.push_back(i);
-    }
-    return out;
-  };
-  if (knob == "rf_entries") return sweep_rf_entries(base, integral());
-  if (knob == "array_n") return sweep_array_n(base, integral());
-  if (knob == "sparsity") return sweep_sparsity(base, values);
-  if (knob == "dram_bytes_per_cycle") return sweep_dram_bandwidth(base, values);
-  throw std::invalid_argument(
-      "--sweep knob must be one of rf_entries|array_n|sparsity|"
-      "dram_bytes_per_cycle, got '" + knob + "'");
+  return {knob, values};
 }
 
 // The --sweep / --dump-rf-sweep execution path: checked evaluation with
@@ -324,19 +315,16 @@ std::vector<std::pair<std::string, sim::AcceleratorConfig>> sweep_from_spec(
 int run_sweep_cli(const CliOptions& opt, const nn::Model& model,
                   const sim::AcceleratorConfig& cfg, std::ostream& out,
                   std::ostream& err) {
-  std::string knob = "rf_entries";
-  const auto configs = opt.sweep_spec.empty()
-                           ? sweep_rf_entries(cfg, {8, 16})
-                           : sweep_from_spec(opt.sweep_spec, cfg, knob);
+  const auto [knob, values] = parse_sweep_spec(
+      opt.sweep_spec.empty() ? "rf_entries=8,16" : opt.sweep_spec);
+  SweepConfigs configs;
+  try {
+    configs = sweep_knob(cfg, knob, values);
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(std::string("--sweep ") + e.what());
+  }
 
-  SweepOptions sopt;
-  if (opt.objective == "cycles") sopt.objective = sched::Objective::Cycles;
-  else if (opt.objective == "energy") sopt.objective = sched::Objective::Energy;
-  else throw std::invalid_argument("--objective must be cycles|energy");
-  sopt.tile_timeline = opt.timeline || opt.tile_search;
-  sopt.tile_search = opt.tile_search;
-  sopt.fuse_pool_drain = opt.fuse;
-
+  SweepOptions sopt{build_sim_options(opt)};
   if (opt.resume && opt.journal_dir.empty())
     throw std::invalid_argument("--resume requires --journal DIR");
   std::unique_ptr<SweepJournal> journal;
@@ -519,14 +507,7 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out,
     if (opt.dump_rf_sweep || !opt.sweep_spec.empty())
       return run_sweep_cli(opt, model, cfg, out, err);
 
-    sched::SimulationOptions sim_opt;
-    if (opt.objective == "cycles") sim_opt.objective = sched::Objective::Cycles;
-    else if (opt.objective == "energy")
-      sim_opt.objective = sched::Objective::Energy;
-    else throw std::invalid_argument("--objective must be cycles|energy");
-    sim_opt.tile_timeline = opt.timeline || opt.tile_search;
-    sim_opt.tile_search = opt.tile_search;
-    sim_opt.fuse_pool_drain = opt.fuse;
+    const sched::SimulationOptions sim_opt = build_sim_options(opt);
 
     // --load-plan replays the artifact's recorded dataflow decisions; every
     // report below is byte-identical to a fresh compile by determinism

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "core/validate.h"
-#include "util/hash.h"
 #include "util/strings.h"
 #include "util/threadpool.h"
 
@@ -59,9 +58,8 @@ TuningResult tune_accelerator(const nn::Model& model, const TuningSpace& space,
       if (errors[i]) {
         result.errors.push_back(classify_point_error(
             label,
-            util::format("%016llx",
-                         static_cast<unsigned long long>(util::fnv1a64(
-                             design_point_key(model, label, cfg, objective)))),
+            design_point_short_key(
+                design_point_key(model, label, cfg, objective)),
             errors[i]));
         continue;
       }

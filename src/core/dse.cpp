@@ -1,9 +1,11 @@
 #include "core/dse.h"
 
 #include <atomic>
+#include <climits>
 #include <cstdio>
 #include <optional>
 #include <ostream>
+#include <stdexcept>
 
 #include "core/config_io.h"
 #include "core/report.h"
@@ -73,28 +75,6 @@ sched::SimulationOptions flat_options(sched::Objective objective) {
   return s;
 }
 
-std::string short_key(const std::string& canonical) {
-  char hex[17];
-  std::snprintf(hex, sizeof(hex), "%016llx",
-                static_cast<unsigned long long>(util::fnv1a64(canonical)));
-  return hex;
-}
-
-// Journal value: the point's metrics as compact JSON. util::json_number
-// emits the shortest decimal that round-trips bit-exactly through strtod,
-// so a value parsed back from the journal re-renders to identical bytes —
-// the property the resume byte-identity guarantee stands on.
-std::string point_value_json(const DesignPoint& p) {
-  std::string value;
-  util::JsonWriter w(value, /*indent=*/0);
-  w.begin_object();
-  w.member("cycles", p.cycles);
-  w.member("energy", p.energy);
-  w.member("utilization", p.utilization);
-  w.end_object();
-  return value;
-}
-
 bool parse_point_value(const std::string& json, DesignPoint& p) {
   try {
     const util::JsonValue v = util::parse_json(json);
@@ -107,33 +87,11 @@ bool parse_point_value(const std::string& json, DesignPoint& p) {
   }
 }
 
-sched::SimulationOptions sim_options_from(const SweepOptions& opt) {
-  sched::SimulationOptions s;
-  s.objective = opt.objective;
-  s.units = opt.units;
-  s.tile_timeline = opt.tile_timeline;
-  s.double_buffered = opt.double_buffered;
-  s.tile_search = opt.tile_search;
-  s.fuse_pool_drain = opt.fuse_pool_drain;
-  return s;
-}
-
-void fill_point(DesignPoint& p, const std::string& label,
-                const sim::AcceleratorConfig& cfg,
-                const sim::NetworkResult& net,
-                const energy::UnitEnergies& units) {
-  p.label = label;
-  p.config = cfg;
-  p.cycles = net.total_cycles();
-  p.energy = energy::network_energy(net, units).total();
-  p.utilization = net.utilization();
-}
-
 }  // namespace
 
 std::vector<DesignPoint> evaluate_designs(
     const nn::Model& model,
-    const std::vector<std::pair<std::string, sim::AcceleratorConfig>>& configs,
+    const SweepConfigs& configs,
     sched::Objective objective, const energy::UnitEnergies& units) {
   // Each design point is an independent full-network simulation; fan them
   // out and write into position-indexed slots so the output (and therefore
@@ -176,15 +134,21 @@ std::string design_point_key(const std::string& model_text,
 }
 
 std::string design_point_short_key(const std::string& key) {
-  return short_key(key);
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016llx",
+                static_cast<unsigned long long>(util::fnv1a64(key)));
+  return hex;
 }
 
 std::string design_point_value_json(const DesignPoint& point) {
-  return point_value_json(point);
-}
-
-bool parse_design_point_value(const std::string& json, DesignPoint& point) {
-  return parse_point_value(json, point);
+  std::string value;
+  util::JsonWriter w(value, /*indent=*/0);
+  w.begin_object();
+  w.member("cycles", point.cycles);
+  w.member("energy", point.energy);
+  w.member("utilization", point.utilization);
+  w.end_object();
+  return value;
 }
 
 PointError classify_point_error(std::string label, std::string key,
@@ -210,86 +174,122 @@ PointError classify_point_error(std::string label, std::string key,
   return pe;
 }
 
-SweepOutcome evaluate_designs_checked(
-    const nn::Model& model,
-    const std::vector<std::pair<std::string, sim::AcceleratorConfig>>& configs,
-    const SweepOptions& opt) {
-  const std::size_t n = configs.size();
-  const std::string model_text = nn::serialize_model(model);
+SweepLedger::SweepLedger(const std::string& model_text,
+                         const SweepConfigs& configs,
+                         const sched::SimulationOptions& options,
+                         SweepJournal* journal)
+    : configs_(configs),
+      journal_(journal),
+      keys_(configs.size()),
+      points_(configs.size()),
+      errors_(configs.size()),
+      state_(configs.size(), State::Pending) {
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    keys_[i] = key_from_parts(model_text, configs[i].first, configs[i].second,
+                              options);
+    if (!journal_) continue;
+    // A restored point re-renders byte-identically (util/json.h
+    // round-trip numbers); a foreign or garbled value is re-evaluated.
+    const std::optional<std::string> value = journal_->find(keys_[i]);
+    if (!value || !parse_point_value(*value, points_[i])) continue;
+    points_[i].label = configs[i].first;
+    points_[i].config = configs[i].second;
+    state_[i] = State::Done;
+    ++resumed_;
+  }
+}
 
-  const sched::SimulationOptions sim_opts = sim_options_from(opt);
-
-  SweepOutcome out;
-  std::vector<DesignPoint> slots(n);
-  std::vector<std::string> keys(n);
-  for (std::size_t i = 0; i < n; ++i)
-    keys[i] = key_from_parts(model_text, configs[i].first, configs[i].second,
-                             sim_opts);
-
-  std::vector<char> restored(n, 0);
-  if (opt.journal) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::optional<std::string> value = opt.journal->find(keys[i]);
-      if (!value || !parse_point_value(*value, slots[i])) continue;
-      slots[i].label = configs[i].first;
-      slots[i].config = configs[i].second;
-      restored[i] = 1;
-      ++out.resumed;
+bool SweepLedger::complete(std::size_t i, const DesignPoint& metrics) {
+  DesignPoint& p = points_[i];
+  p.label = configs_[i].first;
+  p.config = configs_[i].second;
+  p.cycles = metrics.cycles;
+  p.energy = metrics.energy;
+  p.utilization = metrics.utilization;
+  // The on-disk record is the crash-safety contract: a point only counts
+  // as done once its append stuck.
+  if (journal_) {
+    try {
+      journal_->append(keys_[i], design_point_value_json(p));
+    } catch (const SweepJournalError&) {
+      fail(i, std::current_exception());
+      return false;
     }
   }
+  state_[i] = State::Done;
+  return true;
+}
 
-  std::atomic<std::size_t> done{out.resumed};
+void SweepLedger::fail(std::size_t i, const std::exception_ptr& error) {
+  errors_[i] = classify_point_error(configs_[i].first,
+                                    design_point_short_key(keys_[i]), error);
+  state_[i] = State::Failed;
+}
+
+void SweepLedger::fail(std::size_t i, std::string phase, std::string what) {
+  errors_[i] = PointError{configs_[i].first, design_point_short_key(keys_[i]),
+                          std::move(phase), std::move(what)};
+  state_[i] = State::Failed;
+}
+
+SweepOutcome SweepLedger::take_outcome() {
+  SweepOutcome out;
+  out.resumed = resumed_;
+  for (std::size_t i = 0; i < state_.size(); ++i) {
+    if (state_[i] == State::Done)
+      out.points.push_back(std::move(points_[i]));
+    else if (state_[i] == State::Failed)
+      out.errors.push_back(std::move(errors_[i]));
+  }
+  return out;
+}
+
+SweepOutcome evaluate_designs_checked(const nn::Model& model,
+                                      const SweepConfigs& configs,
+                                      const SweepOptions& opt) {
+  const std::size_t n = configs.size();
+  SweepLedger ledger(nn::serialize_model(model), configs, opt, opt.journal);
+
+  std::atomic<std::size_t> done{ledger.resumed()};
   std::atomic<std::size_t> failed{0};
   if (opt.progress) opt.progress(done.load(), n, 0);
 
-  // One fault-isolated parallel pass: restored slots are skipped, completed
-  // slots are journaled under their key, and an exception lands in errors[i]
-  // without tearing down the other points.
-  std::vector<std::exception_ptr> errors;
-  util::ThreadPool::global().parallel_for_index_capture(
-      n,
-      [&](std::size_t i) {
-        if (restored[i]) return;
-        try {
-          // "dse.point" fault site: Errno poisons the point (the structured
-          // PointError path must absorb it), Stall slows it down (the
-          // SIGKILL-mid-sweep chaos test widens the crash window with it).
-          if (util::fault::enabled()) {
-            const util::fault::Action a = util::fault::at("dse.point");
-            if (a.kind == util::fault::Kind::Errno)
-              throw std::runtime_error(
-                  "injected dse.point fault (" + configs[i].first + ")");
-          }
-          if (opt.preflight) {
-            const ValidationReport report =
-                validate_design(model, configs[i].second);
-            if (!report.ok()) throw ValidationError(report.summary());
-          }
-          const sim::NetworkResult net =
-              sched::simulate_network(model, configs[i].second, sim_opts);
-          DesignPoint& p = slots[i];
-          fill_point(p, configs[i].first, configs[i].second, net, opt.units);
-          if (opt.journal) opt.journal->append(keys[i], point_value_json(p));
-        } catch (...) {
-          failed.fetch_add(1, std::memory_order_relaxed);
-          done.fetch_add(1, std::memory_order_relaxed);
-          if (opt.progress) opt.progress(done.load(), n, failed.load());
-          throw;  // captured into errors[i] by the pool
-        }
-        done.fetch_add(1, std::memory_order_relaxed);
-        if (opt.progress) opt.progress(done.load(), n, failed.load());
-      },
-      errors);
-
-  for (std::size_t i = 0; i < n; ++i) {
-    if (errors[i]) {
-      out.errors.push_back(classify_point_error(
-          configs[i].first, short_key(keys[i]), errors[i]));
-      continue;
+  // One fault-isolated parallel pass: restored points are skipped, and a
+  // throwing point is recorded as a PointError without tearing down the
+  // others.
+  util::ThreadPool::global().parallel_for_index(n, [&](std::size_t i) {
+    if (!ledger.pending(i)) return;
+    bool ok = false;
+    try {
+      // "dse.point" fault site: Errno poisons the point (the structured
+      // PointError path must absorb it), Stall slows it down (the
+      // SIGKILL-mid-sweep chaos test widens the crash window with it).
+      if (util::fault::enabled()) {
+        const util::fault::Action a = util::fault::at("dse.point");
+        if (a.kind == util::fault::Kind::Errno)
+          throw std::runtime_error(
+              "injected dse.point fault (" + configs[i].first + ")");
+      }
+      if (opt.preflight) {
+        const ValidationReport report =
+            validate_design(model, configs[i].second);
+        if (!report.ok()) throw ValidationError(report.summary());
+      }
+      const sim::NetworkResult net =
+          sched::simulate_network(model, configs[i].second, opt);
+      DesignPoint p;
+      p.cycles = net.total_cycles();
+      p.energy = energy::network_energy(net, opt.units).total();
+      p.utilization = net.utilization();
+      ok = ledger.complete(i, p);
+    } catch (...) {
+      ledger.fail(i, std::current_exception());
     }
-    out.points.push_back(std::move(slots[i]));
-  }
-  return out;
+    if (!ok) failed.fetch_add(1, std::memory_order_relaxed);
+    done.fetch_add(1, std::memory_order_relaxed);
+    if (opt.progress) opt.progress(done.load(), n, failed.load());
+  });
+  return ledger.take_outcome();
 }
 
 std::vector<DesignPoint> pareto_front(const std::vector<DesignPoint>& points) {
@@ -366,46 +366,63 @@ void write_sweep_outcome_json(const std::string& sweep_name,
   out << sweep_outcome_json(sweep_name, outcome);
 }
 
-std::vector<std::pair<std::string, sim::AcceleratorConfig>> sweep_rf_entries(
-    const sim::AcceleratorConfig& base, const std::vector<int>& values) {
-  std::vector<std::pair<std::string, sim::AcceleratorConfig>> out;
-  for (int v : values) {
-    sim::AcceleratorConfig c = base;
-    c.rf_entries = v;
-    out.emplace_back(util::format("RF=%d", v), c);
-  }
-  return out;
-}
+namespace {
 
-std::vector<std::pair<std::string, sim::AcceleratorConfig>> sweep_array_n(
-    const sim::AcceleratorConfig& base, const std::vector<int>& values) {
-  std::vector<std::pair<std::string, sim::AcceleratorConfig>> out;
-  for (int v : values) {
-    sim::AcceleratorConfig c = base;
-    c.array_n = v;
-    out.emplace_back(util::format("%dx%d", v, v), c);
-  }
-  return out;
-}
+// The sweep knobs: name, whether values must be integers, how a value
+// lands in the config, and the point's label.
+struct Knob {
+  const char* name;
+  bool integral;
+  void (*apply)(sim::AcceleratorConfig&, double);
+  std::string (*label)(double);
+};
 
-std::vector<std::pair<std::string, sim::AcceleratorConfig>> sweep_sparsity(
-    const sim::AcceleratorConfig& base, const std::vector<double>& values) {
-  std::vector<std::pair<std::string, sim::AcceleratorConfig>> out;
-  for (double v : values) {
-    sim::AcceleratorConfig c = base;
-    c.weight_sparsity = v;
-    out.emplace_back(util::format("sparsity=%.0f%%", v * 100.0), c);
-  }
-  return out;
-}
+constexpr Knob kKnobs[] = {
+    {"rf_entries", true,
+     [](sim::AcceleratorConfig& c, double v) {
+       c.rf_entries = static_cast<int>(v);
+     },
+     [](double v) { return util::format("RF=%d", static_cast<int>(v)); }},
+    {"array_n", true,
+     [](sim::AcceleratorConfig& c, double v) {
+       c.array_n = static_cast<int>(v);
+     },
+     [](double v) {
+       return util::format("%dx%d", static_cast<int>(v), static_cast<int>(v));
+     }},
+    {"sparsity", false,
+     [](sim::AcceleratorConfig& c, double v) { c.weight_sparsity = v; },
+     [](double v) { return util::format("sparsity=%.0f%%", v * 100.0); }},
+    {"dram_bytes_per_cycle", false,
+     [](sim::AcceleratorConfig& c, double v) { c.dram_bytes_per_cycle = v; },
+     [](double v) { return util::format("DRAM=%.0fB/cyc", v); }},
+};
 
-std::vector<std::pair<std::string, sim::AcceleratorConfig>> sweep_dram_bandwidth(
-    const sim::AcceleratorConfig& base, const std::vector<double>& bytes_per_cycle) {
-  std::vector<std::pair<std::string, sim::AcceleratorConfig>> out;
-  for (double v : bytes_per_cycle) {
+}  // namespace
+
+SweepConfigs sweep_knob(const sim::AcceleratorConfig& base,
+                        const std::string& knob,
+                        const std::vector<double>& values) {
+  const Knob* k = nullptr;
+  std::string names;
+  for (const Knob& candidate : kKnobs) {
+    if (knob == candidate.name) k = &candidate;
+    names += names.empty() ? "" : "|";
+    names += candidate.name;
+  }
+  if (!k)
+    throw std::invalid_argument("knob must be one of " + names + ", got '" +
+                                knob + "'");
+  SweepConfigs out;
+  out.reserve(values.size());
+  for (const double v : values) {
+    if (k->integral && !(v >= INT_MIN && v <= INT_MAX &&
+                         static_cast<double>(static_cast<int>(v)) == v))
+      throw std::invalid_argument(std::string("values for ") + k->name +
+                                  " must be integers");
     sim::AcceleratorConfig c = base;
-    c.dram_bytes_per_cycle = v;
-    out.emplace_back(util::format("DRAM=%.0fB/cyc", v), c);
+    k->apply(c, v);
+    out.emplace_back(k->label(v), c);
   }
   return out;
 }

@@ -26,10 +26,13 @@ struct DesignPoint {
   double utilization = 0.0;
 };
 
+/// Labelled configurations: one per design point, in sweep order.
+using SweepConfigs = std::vector<std::pair<std::string, sim::AcceleratorConfig>>;
+
 /// Evaluate every configuration on `model` (cycles, energy, utilization).
 std::vector<DesignPoint> evaluate_designs(
     const nn::Model& model,
-    const std::vector<std::pair<std::string, sim::AcceleratorConfig>>& configs,
+    const SweepConfigs& configs,
     sched::Objective objective = sched::Objective::Cycles,
     const energy::UnitEnergies& units = {});
 
@@ -50,17 +53,10 @@ struct PointError {
   std::string what;   ///< Diagnostic: validation summary or exception text.
 };
 
-struct SweepOptions {
-  sched::Objective objective = sched::Objective::Cycles;
-  energy::UnitEnergies units;
-
-  /// Fidelity knobs forwarded to sched::simulate_network. Defaults
-  /// reproduce the historical flat-model sweep byte-for-byte.
-  bool tile_timeline = false;
-  bool double_buffered = true;
-  bool tile_search = false;
-  bool fuse_pool_drain = false;
-
+/// A checked sweep's options: the simulation fidelity every point runs at
+/// (the defaults reproduce the historical flat-model sweep byte-for-byte)
+/// plus the sweep-only members below.
+struct SweepOptions : sched::SimulationOptions {
   /// Cross-check each model x config pair (core/validate.h) before paying
   /// for its simulation; an infeasible point fails with phase "validate"
   /// and every violation listed, instead of whatever a mapper throws first.
@@ -74,7 +70,8 @@ struct SweepOptions {
   /// Called after every point completes (and once up front with the resumed
   /// count) as progress(done, total, errors). Invoked from worker threads
   /// concurrently — the callback must be thread-safe.
-  std::function<void(std::size_t, std::size_t, std::size_t)> progress;
+  std::function<void(std::size_t, std::size_t, std::size_t)> progress =
+      nullptr;
 };
 
 struct SweepOutcome {
@@ -111,18 +108,68 @@ std::string design_point_key(const std::string& model_text,
                              const sched::SimulationOptions& options);
 
 /// The 16-hex FNV-1a digest of a canonical design-point key — the form
-/// recorded in PointError::key, exposed so the serve-layer coordinator
-/// reports dispatch failures under the same identity the sweep engine uses.
+/// recorded in PointError::key.
 std::string design_point_short_key(const std::string& key);
 
 /// The journal value for one completed point ({"cycles","energy",
-/// "utilization"} as compact JSON) and its parser. util::json_number emits
-/// the shortest decimal that round-trips bit-exactly through strtod, so a
-/// value parsed back re-renders to identical bytes — the property both the
-/// local resume path and the coordinator's completion record stand on.
-/// parse returns false on a foreign or garbled value (caller re-evaluates).
+/// "utilization"} as compact JSON). util::json_number emits the shortest
+/// decimal that round-trips bit-exactly through strtod, so a value parsed
+/// back from the journal re-renders to identical bytes — the property a
+/// resumed sweep's byte identity stands on.
 std::string design_point_value_json(const DesignPoint& point);
-bool parse_design_point_value(const std::string& json, DesignPoint& point);
+
+/// The per-point record-keeping of one sweep — the one path every sweep
+/// front door (evaluate_designs_checked, the serve-layer coordinator) keeps
+/// its books through. It keys every point, restores the points a journal
+/// already holds, journals each completed point before recording it (a
+/// failed append becomes a "journal" PointError), records failures under
+/// their 16-hex short keys, and hands back the outcome in input order.
+/// complete() and fail() may run concurrently for distinct points; each
+/// point is recorded at most once.
+class SweepLedger {
+ public:
+  /// `model_text` is the serialized model (nn/serialize.h); `options`
+  /// carries the keyed fidelity. `configs` and `journal` (may be null) must
+  /// outlive the ledger.
+  SweepLedger(const std::string& model_text, const SweepConfigs& configs,
+              const sched::SimulationOptions& options, SweepJournal* journal);
+
+  SweepLedger(const SweepLedger&) = delete;  // recording threads hold it
+  SweepLedger& operator=(const SweepLedger&) = delete;
+
+  std::size_t size() const { return keys_.size(); }
+  /// Point i's canonical design-point key (design_point_key).
+  const std::string& key(std::size_t i) const { return keys_[i]; }
+  /// True until point i is restored, completed or failed.
+  bool pending(std::size_t i) const { return state_[i] == State::Pending; }
+  /// Points restored from the journal at construction.
+  std::size_t resumed() const { return resumed_; }
+
+  /// Record point i's metrics (cycles, energy, utilization; the label and
+  /// config come from the ledger), journaling them first. Returns false
+  /// when the journal append failed and the point was recorded as a
+  /// "journal" PointError instead.
+  bool complete(std::size_t i, const DesignPoint& metrics);
+  /// Record point i as failed: classify_point_error under its short key.
+  void fail(std::size_t i, const std::exception_ptr& error);
+  /// Record point i as failed in `phase` with diagnostic `what`.
+  void fail(std::size_t i, std::string phase, std::string what);
+
+  /// The recorded points and errors in input order, plus the resumed count.
+  /// Pending points are left out. Leaves the ledger empty.
+  SweepOutcome take_outcome();
+
+ private:
+  enum class State : char { Pending, Done, Failed };
+
+  const SweepConfigs& configs_;
+  SweepJournal* journal_;
+  std::vector<std::string> keys_;
+  std::vector<DesignPoint> points_;
+  std::vector<PointError> errors_;
+  std::vector<State> state_;
+  std::size_t resumed_ = 0;
+};
 
 /// Fault-isolating evaluate_designs: every configuration is evaluated even
 /// when some throw. Failed points become PointErrors (input order); the
@@ -131,7 +178,7 @@ bool parse_design_point_value(const std::string& json, DesignPoint& point);
 /// finish and already-journaled points are restored without re-simulating.
 SweepOutcome evaluate_designs_checked(
     const nn::Model& model,
-    const std::vector<std::pair<std::string, sim::AcceleratorConfig>>& configs,
+    const SweepConfigs& configs,
     const SweepOptions& options = {});
 
 /// Classify one captured per-index exception (ValidationError -> "validate",
@@ -163,16 +210,18 @@ void write_sweep_outcome_json(const std::string& sweep_name,
 std::string sweep_outcome_json(const std::string& sweep_name,
                                const SweepOutcome& outcome);
 
-// --- sweep builders -------------------------------------------------------
+// --- sweep builder --------------------------------------------------------
 
-/// Vary one integer knob of a base config.
-std::vector<std::pair<std::string, sim::AcceleratorConfig>> sweep_rf_entries(
-    const sim::AcceleratorConfig& base, const std::vector<int>& values);
-std::vector<std::pair<std::string, sim::AcceleratorConfig>> sweep_array_n(
-    const sim::AcceleratorConfig& base, const std::vector<int>& values);
-std::vector<std::pair<std::string, sim::AcceleratorConfig>> sweep_sparsity(
-    const sim::AcceleratorConfig& base, const std::vector<double>& values);
-std::vector<std::pair<std::string, sim::AcceleratorConfig>> sweep_dram_bandwidth(
-    const sim::AcceleratorConfig& base, const std::vector<double>& bytes_per_cycle);
+/// The single-knob sweep every front door runs (sqzsim --sweep, POST
+/// /v1/sweep, the coordinator): one labelled copy of `base` per value of
+/// `knob`, in value order. The one table of knobs — rf_entries ("RF=16"),
+/// array_n ("16x16"), sparsity ("sparsity=40%") and dram_bytes_per_cycle
+/// ("DRAM=8B/cyc") — lives behind it. Throws std::invalid_argument on an
+/// unknown knob or a non-integral value for an integer knob; the message
+/// reads after a "sweep." or "--sweep " prefix. An empty `values` checks
+/// the knob name alone.
+SweepConfigs sweep_knob(const sim::AcceleratorConfig& base,
+                        const std::string& knob,
+                        const std::vector<double>& values);
 
 }  // namespace sqz::core

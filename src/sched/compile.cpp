@@ -134,10 +134,15 @@ Program compile_from_result(const nn::Model& model,
     cmd.input_from_dram = !placement.input_in_gb;
     cmd.output_to_dram = !placement.output_in_gb;
 
-    // DMA descriptors and band count from the tiler (matching what the
-    // timeline executes).
-    const sim::TilePlan tiles = sim::plan_layer_tiles(
-        model, l.layer_idx, config, placement, l.compute_cycles);
+    // DMA descriptors from the tiler, at the band count the timeline ran
+    // (searched under tile_search); a flat run gets the streaming default.
+    const sim::TilePlan tiles =
+        l.tile_bands > 0
+            ? sim::plan_layer_tiles_with_bands(model, l.layer_idx, config,
+                                               placement, l.compute_cycles,
+                                               l.tile_bands)
+            : sim::plan_layer_tiles(model, l.layer_idx, config, placement,
+                                    l.compute_cycles);
     cmd.tile_count = static_cast<int>(tiles.tiles.size());
     for (const sim::TileJob& t : tiles.tiles) {
       cmd.dma_in_words += t.dma_in_words;

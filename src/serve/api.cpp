@@ -139,6 +139,17 @@ sched::SimulationOptions parse_options_field(const JsonValue& doc) {
   return opt;
 }
 
+// nn::Model has no default constructor, so requests are assembled through
+// aggregate initialization once every part has parsed.
+SimulateRequest parse_simulate_fields(const JsonValue& doc) {
+  std::string label;
+  nn::Model model = parse_model_field(doc, label);
+  return SimulateRequest{std::move(model), std::move(label),
+                         parse_config_field(doc), parse_options_field(doc)};
+}
+
+}  // namespace
+
 void options_to_canonical_json(const sched::SimulationOptions& opt,
                                util::JsonWriter& w) {
   w.key("options");
@@ -151,17 +162,6 @@ void options_to_canonical_json(const sched::SimulationOptions& opt,
   w.member("fuse", opt.fuse_pool_drain);
   w.end_object();
 }
-
-// nn::Model has no default constructor, so requests are assembled through
-// aggregate initialization once every part has parsed.
-SimulateRequest parse_simulate_fields(const JsonValue& doc) {
-  std::string label;
-  nn::Model model = parse_model_field(doc, label);
-  return SimulateRequest{std::move(model), std::move(label),
-                         parse_config_field(doc), parse_options_field(doc)};
-}
-
-}  // namespace
 
 SimulateRequest parse_simulate_request(const std::string& body) {
   const JsonValue doc = parse_body(body);
@@ -191,10 +191,13 @@ SweepRequest parse_sweep_request(const std::string& body) {
   } catch (const std::exception&) {
     bad_request("sweep.knob must be a string");
   }
-  if (req.knob != "rf_entries" && req.knob != "array_n" &&
-      req.knob != "sparsity" && req.knob != "dram_bytes_per_cycle")
-    bad_request("sweep.knob must be one of rf_entries|array_n|sparsity|"
-                "dram_bytes_per_cycle, got '" + req.knob + "'");
+  // An empty sweep checks the knob name alone; the values are checked
+  // against it when the sweep expands (sweep_configs).
+  try {
+    core::sweep_knob(req.base.config, req.knob, {});
+  } catch (const std::invalid_argument& e) {
+    bad_request(std::string("sweep.") + e.what());
+  }
   if (!values->is_array() || values->items.empty())
     bad_request("sweep.values must be a non-empty array of numbers");
   if (values->items.size() > 4096)
@@ -248,30 +251,12 @@ WorkerRegistration parse_worker_registration(const std::string& body) {
   return reg;
 }
 
-namespace {
-
-std::vector<int> integral_values(const SweepRequest& req) {
-  std::vector<int> out;
-  for (const double v : req.values) {
-    const int i = static_cast<int>(v);
-    if (static_cast<double>(i) != v)
-      bad_request("sweep.values for " + req.knob + " must be integers");
-    out.push_back(i);
+core::SweepConfigs sweep_configs(const SweepRequest& req) {
+  try {
+    return core::sweep_knob(req.base.config, req.knob, req.values);
+  } catch (const std::invalid_argument& e) {
+    bad_request(std::string("sweep.") + e.what());
   }
-  return out;
-}
-
-}  // namespace
-
-std::vector<std::pair<std::string, sim::AcceleratorConfig>> sweep_configs(
-    const SweepRequest& req) {
-  if (req.knob == "rf_entries")
-    return core::sweep_rf_entries(req.base.config, integral_values(req));
-  if (req.knob == "array_n")
-    return core::sweep_array_n(req.base.config, integral_values(req));
-  if (req.knob == "sparsity")
-    return core::sweep_sparsity(req.base.config, req.values);
-  return core::sweep_dram_bandwidth(req.base.config, req.values);
 }
 
 std::string canonical_key(const SimulateRequest& req) {
@@ -335,21 +320,21 @@ std::string run_sweep(const SweepRequest& req, core::SweepJournal* journal,
                       SweepRunStats* stats) {
   core::SweepOutcome outcome;
   try {
-    core::SweepOptions sweep_opt;
-    sweep_opt.objective = req.base.options.objective;
-    sweep_opt.units = req.base.options.units;
-    sweep_opt.tile_timeline = req.base.options.tile_timeline;
-    sweep_opt.double_buffered = req.base.options.double_buffered;
-    sweep_opt.tile_search = req.base.options.tile_search;
-    sweep_opt.fuse_pool_drain = req.base.options.fuse_pool_drain;
-    sweep_opt.journal = journal;
+    core::SweepOptions options{req.base.options};
+    options.journal = journal;
     outcome = core::evaluate_designs_checked(req.base.model,
-                                             sweep_configs(req), sweep_opt);
+                                             sweep_configs(req), options);
   } catch (const ApiError&) {
     throw;
   } catch (const std::exception& e) {
     bad_request(e.what());
   }
+  return sweep_response(req, outcome, stats);
+}
+
+std::string sweep_response(const SweepRequest& req,
+                           const core::SweepOutcome& outcome,
+                           SweepRunStats* stats) {
   if (stats) {
     stats->points = outcome.points.size();
     stats->point_errors = outcome.errors.size();

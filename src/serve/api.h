@@ -15,8 +15,8 @@
 //                 "fuse": false}
 //   }
 // Every field is optional except one of model/model_text. POST /v1/sweep
-// adds {"sweep": {"knob": "rf_entries", "values": [8, 16]}}; knobs:
-// rf_entries, array_n, sparsity, dram_bytes_per_cycle. The sweep object
+// adds {"sweep": {"knob": "rf_entries", "values": [8, 16]}}; the knobs are
+// core::sweep_knob's (core/dse.h). The sweep object
 // still accepts the retired two-phase screening members "screen" (a bool)
 // and "screen_keep" (a number in (0, 1], only with "screen": true) and
 // rejects malformed ones, but ignores valid ones: such a request runs the
@@ -47,6 +47,11 @@
 
 namespace sqz::core {
 class SweepJournal;
+struct SweepOutcome;
+}  // namespace sqz::core
+
+namespace sqz::util {
+class JsonWriter;
 }
 
 namespace sqz::serve {
@@ -99,10 +104,16 @@ WorkerRegistration parse_worker_registration(const std::string& body);
 std::string canonical_key(const SimulateRequest& req);
 std::string canonical_key(const SweepRequest& req);
 
-/// The labeled configurations a sweep request expands to — the same
-/// core/dse.h builders the local engine runs, exposed so the coordinator
-/// (serve/coordinator.h) shards exactly the point set a single node would
-/// evaluate. Throws ApiError(400) on non-integral values for integer knobs.
+/// Write the request's options as an `"options"` member of the open object
+/// `w`, every member explicit in a fixed order — the form the cache keys and
+/// the coordinator's chunk bodies (serve/coordinator.h) share.
+void options_to_canonical_json(const sched::SimulationOptions& options,
+                               util::JsonWriter& w);
+
+/// The labeled configurations a sweep request expands to (core::sweep_knob,
+/// the one knob table the CLI and the local engine use too), exposed so the
+/// coordinator shards exactly the point set a single node would evaluate.
+/// Throws ApiError(400) on non-integral values for integer knobs.
 std::vector<std::pair<std::string, sim::AcceleratorConfig>> sweep_configs(
     const SweepRequest& req);
 
@@ -136,6 +147,12 @@ std::string run_simulate_with_plan(const SimulateRequest& req,
 std::string run_sweep(const SweepRequest& req,
                       core::SweepJournal* journal = nullptr,
                       SweepRunStats* stats = nullptr);
+
+/// The tail every executed sweep shares, run locally or coordinated: fill
+/// `stats` (may be null) from the outcome and render the response body.
+std::string sweep_response(const SweepRequest& req,
+                           const core::SweepOutcome& outcome,
+                           SweepRunStats* stats);
 
 class Coordinator;
 

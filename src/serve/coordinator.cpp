@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <deque>
 #include <map>
-#include <optional>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -22,28 +23,9 @@
 
 namespace sqz::serve {
 
-struct Coordinator::Flight {
-  /// One chunk position's outcome. A slot either carries the worker's
-  /// metrics or the structured error that replaced them.
-  struct Slot {
-    bool ok = false;
-    std::int64_t cycles = 0;
-    double energy = 0.0;
-    double utilization = 0.0;
-    core::PointError error;  ///< When !ok.
-  };
-
-  // Guarded by Coordinator::mu_; a done flight is never written again.
-  bool done = false;      ///< Set exactly once, when the owner publishes.
-  bool ok = false;        ///< done: slots are valid (else fail_what is).
-  std::string fail_what;  ///< done && !ok: the dispatch diagnostic.
-  std::vector<Slot> slots;
-};
-
 namespace {
 
 using Clock = std::chrono::steady_clock;
-using Slot = Coordinator::Flight::Slot;
 
 const util::JsonValue* member(const util::JsonValue& obj,
                               const std::string& key) {
@@ -74,16 +56,7 @@ std::string chunk_request_body(const SweepRequest& req,
   w.begin_object();
   w.member("model_text", model_text);
   w.member("config_ini", config_ini);
-  w.key("options");
-  w.begin_object();
-  w.member("objective", req.base.options.objective == sched::Objective::Energy
-                            ? "energy"
-                            : "cycles");
-  w.member("timeline", req.base.options.tile_timeline);
-  w.member("double_buffered", req.base.options.double_buffered);
-  w.member("tile_search", req.base.options.tile_search);
-  w.member("fuse", req.base.options.fuse_pool_drain);
-  w.end_object();
+  options_to_canonical_json(req.base.options, w);
   w.key("sweep");
   w.begin_object();
   w.member("knob", req.knob);
@@ -95,6 +68,14 @@ std::string chunk_request_body(const SweepRequest& req,
   w.end_object();
   return body;
 }
+
+/// One chunk position's answer from a worker: its metrics, or the phase and
+/// diagnostic of the PointError the worker recorded for it.
+struct Slot {
+  bool ok = false;
+  core::DesignPoint metrics;
+  std::string phase, what;  ///< When !ok.
+};
 
 /// Map a worker's sweep dump back onto the chunk's positions. "points" and
 /// "errors" both preserve input order, so a single greedy pass with two
@@ -120,17 +101,14 @@ bool parse_chunk_response(const std::string& body,
           points->items[pi].at("label").as_string() == labels[p]) {
         const util::JsonValue& v = points->items[pi++];
         slot.ok = true;
-        slot.cycles = v.at("cycles").as_int();
-        slot.energy = v.at("energy").as_double();
-        slot.utilization = v.at("utilization").as_double();
+        slot.metrics.cycles = v.at("cycles").as_int();
+        slot.metrics.energy = v.at("energy").as_double();
+        slot.metrics.utilization = v.at("utilization").as_double();
       } else if (errors && ei < errors->items.size() &&
                  errors->items[ei].at("label").as_string() == labels[p]) {
         const util::JsonValue& v = errors->items[ei++];
-        slot.ok = false;
-        slot.error.label = labels[p];
-        slot.error.key = v.at("key").as_string();
-        slot.error.phase = v.at("phase").as_string();
-        slot.error.what = v.at("what").as_string();
+        slot.phase = v.at("phase").as_string();
+        slot.what = v.at("what").as_string();
       } else {
         return false;  // the worker answered for a different point set
       }
@@ -144,16 +122,13 @@ bool parse_chunk_response(const std::string& body,
 
 enum class ChunkState { Queued, Parked, InFlight, Done, Failed };
 
-/// One dispatched chunk. idx/labels/body/hash/flight/owner are immutable
-/// after sharding; the dispatch state below them is guarded by
-/// Coordinator::mu_.
+/// One dispatched chunk. idx/labels/body/hash are immutable after
+/// sharding; the dispatch state below them is guarded by Run::mu.
 struct Chunk {
   std::vector<std::size_t> idx;     ///< Global point indices, input order.
   std::vector<std::string> labels;  ///< Sweep labels, aligned with idx.
   std::string body;                 ///< The worker /v1/sweep request.
   std::uint64_t hash = 0;           ///< Ring position (first point's key).
-  std::shared_ptr<Coordinator::Flight> flight;
-  bool owner = false;  ///< This run dispatches; a waiter only observes.
 
   ChunkState state = ChunkState::Queued;
   std::vector<int> tried;  ///< Workers this chunk was already sent to.
@@ -162,11 +137,18 @@ struct Chunk {
   Clock::time_point wake_at{};
   int requeues = 0;
   bool steal_pending = false;  ///< A steal is queued or on the wire.
+
+  bool settled() const {
+    return state == ChunkState::Done || state == ChunkState::Failed;
+  }
 };
 
 /// Per-run_sweep dispatch state shared between the dispatcher threads and
-/// the monitor; guarded by Coordinator::mu_.
+/// the monitor. mu guards everything here; cv is notified on every change
+/// a waiter could act on.
 struct Run {
+  std::mutex mu;
+  std::condition_variable cv;
   std::vector<Chunk> chunks;
   std::deque<std::pair<std::size_t, bool>> queue;  ///< (chunk, is_steal).
   bool quit = false;
@@ -286,53 +268,24 @@ void Coordinator::record_takeover(const std::string& standby_addr) {
 std::string Coordinator::run_sweep(const SweepRequest& req,
                                    core::SweepJournal* journal,
                                    SweepRunStats* stats) {
-  const std::vector<std::pair<std::string, sim::AcceleratorConfig>> configs =
-      sweep_configs(req);
+  const core::SweepConfigs configs = sweep_configs(req);
   const std::string model_text = nn::serialize_model(req.base.model);
   const std::string config_ini = core::config_to_ini(req.base.config);
-  const std::size_t n = configs.size();
 
-  // Canonical identity per point: the journal key, and (hashed) the ring
-  // position — so a point shards to the same worker sweep after sweep.
-  std::vector<std::string> keys(n);
-  for (std::size_t i = 0; i < n; ++i)
-    keys[i] = core::design_point_key(model_text, configs[i].first,
-                                     configs[i].second, req.base.options);
+  // The ledger keys every point — the journal key and, hashed, the ring
+  // position, so a point shards to the same worker sweep after sweep — and
+  // restores journaled points, which are never dispatched again.
+  core::SweepLedger ledger(model_text, configs, req.base.options, journal);
 
-  core::SweepOutcome outcome;
-  std::vector<core::DesignPoint> points(n);
-  std::vector<core::PointError> errs(n);
-  std::vector<char> have(n, 0);
-  std::vector<char> failed(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    points[i].label = configs[i].first;
-    points[i].config = configs[i].second;
-  }
-
-  // Journal restore: completed points are never dispatched again, and their
-  // metrics re-render byte-identically (util/json.h round-trip numbers).
-  std::vector<std::size_t> pending;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (journal) {
-      const std::optional<std::string> value = journal->find(keys[i]);
-      if (value && core::parse_design_point_value(*value, points[i])) {
-        have[i] = 1;
-        ++outcome.resumed;
-        continue;
-      }
-    }
-    pending.push_back(i);
-  }
-
-  // Shard: route each pending point on the ring, group per worker (stable
-  // shards keep worker caches hot), slice each group into chunks. A point
-  // with no usable home right now groups under -1 and is placed at dispatch
-  // time like any other chunk.
+  // Shard: route each pending point on the ring, group per worker, slice
+  // each group into chunks. A point with no usable home right now groups
+  // under -1 and is placed at dispatch time like any other chunk.
   Run run;
   {
     std::map<int, std::vector<std::size_t>> by_worker;
-    for (const std::size_t i : pending)
-      by_worker[pool_.route(util::fnv1a64(keys[i]))].push_back(i);
+    for (std::size_t i = 0; i < ledger.size(); ++i)
+      if (ledger.pending(i))
+        by_worker[pool_.route(util::fnv1a64(ledger.key(i)))].push_back(i);
     const std::size_t chunk_points =
         static_cast<std::size_t>(std::max(1, options_.chunk_points));
     for (const auto& [w, idxs] : by_worker) {
@@ -344,53 +297,31 @@ std::string Coordinator::run_sweep(const SweepRequest& req,
                      idxs.begin() + static_cast<std::ptrdiff_t>(end));
         for (const std::size_t i : c.idx) c.labels.push_back(configs[i].first);
         c.body = chunk_request_body(req, model_text, config_ini, c.idx);
-        c.hash = util::fnv1a64(keys[c.idx.front()]);
+        c.hash = util::fnv1a64(ledger.key(c.idx.front()));
+        run.queue.emplace_back(run.chunks.size(), false);
         run.chunks.push_back(std::move(c));
       }
-    }
-  }
-  // Single-flight: attach to an identical chunk already in flight, or own
-  // a new flight.
-  std::size_t owned = 0;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    for (Chunk& c : run.chunks) {
-      std::shared_ptr<Flight>& f = flights_[c.body];
-      c.owner = !f;
-      if (c.owner) {
-        f = std::make_shared<Flight>();
-        run.queue.emplace_back(&c - run.chunks.data(), false);
-        ++owned;
-      } else if (metrics_) {
-        metrics_->record_coord_singleflight_hit();
-      }
-      c.flight = f;
     }
   }
 
   const auto straggler =
       std::chrono::milliseconds(std::max(1, options_.straggler_ms));
 
-  // Publication (caller holds mu_): record the flight's outcome, drop it
-  // from the single-flight map, and wake every run — waiters that attached
-  // to this flight included.
-  const auto publish = [&](Chunk& c, bool ok, std::vector<Slot> slots,
-                           const std::string& what) {
-    Flight& f = *c.flight;
-    f.ok = ok;
-    f.slots = std::move(slots);
-    f.fail_what = what;
-    f.done = true;
-    flights_.erase(c.body);  // only the owner publishes, exactly once
-    cv_.notify_all();
+  // Settlement, in the ledger, exactly once per chunk — by whoever moves it
+  // to Done or Failed. A failed chunk fails each of its points in phase
+  // "dispatch" (caller holds run.mu).
+  const auto fail_chunk = [&](Chunk& c, const std::string& what) {
+    c.state = ChunkState::Failed;
+    for (const std::size_t i : c.idx) ledger.fail(i, "dispatch", what);
+    run.cv.notify_all();
   };
 
-  // Placement (caller holds mu_): the worker a queued job goes to, or -1
+  // Placement (caller holds run.mu): the worker a queued job goes to, or -1
   // when there is nothing to send — the chunk settled meanwhile, a steal
   // found no other worker, or no worker is usable at all.
   const auto place = [&](std::size_t ci, bool is_steal) -> int {
     Chunk& c = run.chunks[ci];
-    if (c.state == ChunkState::Done || c.state == ChunkState::Failed) {
+    if (c.settled()) {
       if (is_steal) c.steal_pending = false;
       return -1;
     }
@@ -403,7 +334,7 @@ std::string Coordinator::run_sweep(const SweepRequest& req,
       if (!is_steal) {
         c.state = ChunkState::InFlight;
         c.wake_at = Clock::now() + straggler;
-        cv_.notify_all();  // the monitor takes on a new straggler deadline
+        run.cv.notify_all();  // the monitor takes on a new straggler deadline
       }
       return w;
     }
@@ -414,17 +345,15 @@ std::string Coordinator::run_sweep(const SweepRequest& req,
     // The whole fleet is unusable: burn one requeue and park the chunk
     // until the monitor requeues it; exhaustion fails the chunk.
     if (++c.requeues > options_.max_requeues) {
-      c.state = ChunkState::Failed;
-      publish(c, false, {},
-              "no usable worker (fleet of " +
-                  std::to_string(pool_.member_count()) +
-                  " members, none usable)");
+      fail_chunk(c, "no usable worker (fleet of " +
+                        std::to_string(pool_.member_count()) +
+                        " members, none usable)");
       return -1;
     }
     if (metrics_) metrics_->record_coord_requeue(c.idx.size());
     c.state = ChunkState::Parked;
     c.wake_at = Clock::now() + kParkFor;
-    cv_.notify_all();
+    run.cv.notify_all();
     return -1;
   };
 
@@ -495,31 +424,10 @@ std::string Coordinator::run_sweep(const SweepRequest& req,
     return r;
   };
 
-  // Journal a winning chunk's points before publishing them (the on-disk
-  // record *is* the crash-safety contract, so a point only reports success
-  // once its append stuck). Runs without the lock: appends flush to disk.
-  const auto journal_slots = [&](const Chunk& c, std::vector<Slot>& slots) {
-    for (std::size_t p = 0; p < slots.size(); ++p) {
-      if (!slots[p].ok) continue;
-      core::DesignPoint dp;
-      dp.cycles = slots[p].cycles;
-      dp.energy = slots[p].energy;
-      dp.utilization = slots[p].utilization;
-      try {
-        journal->append(keys[c.idx[p]], core::design_point_value_json(dp));
-      } catch (const core::SweepJournalError& e) {
-        slots[p].ok = false;
-        slots[p].error = core::PointError{
-            c.labels[p], core::design_point_short_key(keys[c.idx[p]]),
-            "journal", e.what()};
-      }
-    }
-  };
-
   const auto dispatcher = [&] {
-    std::unique_lock<std::mutex> lk(mu_);
+    std::unique_lock<std::mutex> lk(run.mu);
     for (;;) {
-      cv_.wait(lk, [&] { return run.quit || !run.queue.empty(); });
+      run.cv.wait(lk, [&] { return run.quit || !run.queue.empty(); });
       if (run.queue.empty()) return;  // quit, and nothing left to run
       const auto [ci, is_steal] = run.queue.front();
       run.queue.pop_front();
@@ -527,40 +435,43 @@ std::string Coordinator::run_sweep(const SweepRequest& req,
       if (w < 0) continue;
       Chunk& c = run.chunks[ci];
       lk.unlock();
-      Sent r = send(c, w, is_steal);
+      const Sent r = send(c, w, is_steal);
       lk.lock();
 
       if (is_steal) c.steal_pending = false;
-      const bool settled =
-          c.state == ChunkState::Done || c.state == ChunkState::Failed;
-      if ((r.ok || r.fatal) && !settled) {
+      if (r.ok && !c.settled()) {
         // First valid result wins; a steal-race loser finds the chunk
         // settled and discards its copy. The same rule covers membership
         // churn: a chunk dispatched under an older ring epoch is accepted
-        // when it lands — the epoch versions routing, not results.
-        c.state = r.ok ? ChunkState::Done : ChunkState::Failed;
-        if (r.ok && journal) {
-          lk.unlock();
-          journal_slots(c, r.slots);
-          lk.lock();
+        // when it lands — the epoch versions routing, not results. The
+        // ledger journals each point before the response reports it, and
+        // without the lock: appends flush to disk.
+        c.state = ChunkState::Done;
+        lk.unlock();
+        for (std::size_t p = 0; p < c.idx.size(); ++p) {
+          if (r.slots[p].ok)
+            ledger.complete(c.idx[p], r.slots[p].metrics);
+          else
+            ledger.fail(c.idx[p], r.slots[p].phase, r.slots[p].what);
         }
-        publish(c, r.ok, std::move(r.slots), r.fail);
+        lk.lock();
+      } else if (r.fatal && !c.settled()) {
+        fail_chunk(c, r.fail);
       } else if (!r.ok && !r.fatal && !is_steal &&
                  c.state == ChunkState::InFlight) {
         // Retryable failure: the primary requeues (budget permitting); a
         // failed steal just retires — its primary is still in flight.
         if (++c.requeues > options_.max_requeues) {
-          c.state = ChunkState::Failed;
-          publish(c, false, {},
-                  r.fail + " (chunk failed after " +
-                      std::to_string(options_.max_requeues) + " requeues)");
+          fail_chunk(c, r.fail + " (chunk failed after " +
+                            std::to_string(options_.max_requeues) +
+                            " requeues)");
         } else {
           c.state = ChunkState::Queued;
           run.queue.emplace_back(ci, false);
           if (metrics_) metrics_->record_coord_requeue(c.idx.size());
         }
       }
-      cv_.notify_all();  // a retired steal may let the monitor steal again
+      run.cv.notify_all();  // a retired steal may let the monitor steal again
     }
   };
 
@@ -568,24 +479,25 @@ std::string Coordinator::run_sweep(const SweepRequest& req,
   // steal overtake a stalled primary, bounded so a huge fleet cannot fork
   // a thread herd per request.
   std::vector<std::thread> dispatchers;
+  const std::size_t chunks = run.chunks.size();
   const std::size_t width =
       std::min<std::size_t>(std::max<std::size_t>(2, 2 * pool_.size()), 8);
-  for (std::size_t t = 0; owned > 0 && t < std::min(width, owned + 1); ++t)
+  for (std::size_t t = 0; chunks > 0 && t < std::min(width, chunks + 1); ++t)
     dispatchers.emplace_back(dispatcher);
 
-  // Monitor: wait until every flight is done (waiter chunks finish under
-  // another run's dispatchers) or the earliest deadline passes — requeue
-  // parked chunks, and re-dispatch owned stragglers to a different worker.
+  // Monitor: wait until every chunk has settled or the earliest deadline
+  // passes — requeue parked chunks, and re-dispatch stragglers to a
+  // different worker.
   {
-    std::unique_lock<std::mutex> lk(mu_);
+    std::unique_lock<std::mutex> lk(run.mu);
     for (;;) {
       const Clock::time_point now = Clock::now();
       Clock::time_point next = Clock::time_point::max();
-      bool all_done = true;
+      bool all_settled = true;
       bool queued = false;
       for (std::size_t ci = 0; ci < run.chunks.size(); ++ci) {
         Chunk& c = run.chunks[ci];
-        all_done = all_done && c.flight->done;
+        all_settled = all_settled && c.settled();
         const bool parked = c.state == ChunkState::Parked;
         if (!parked && (c.state != ChunkState::InFlight || c.steal_pending))
           continue;
@@ -608,55 +520,19 @@ std::string Coordinator::run_sweep(const SweepRequest& req,
         }
         next = std::min(next, c.wake_at);
       }
-      if (all_done) break;
-      if (queued) cv_.notify_all();
+      if (all_settled) break;
+      if (queued) run.cv.notify_all();
       if (next == Clock::time_point::max())
-        cv_.wait(lk);
+        run.cv.wait(lk);
       else
-        cv_.wait_until(lk, next);
+        run.cv.wait_until(lk, next);
     }
     run.quit = true;
   }
-  cv_.notify_all();
+  run.cv.notify_all();
+  // Joining also waits out a settling chunk's journal appends.
   for (std::thread& th : dispatchers) th.join();
-
-  // Merge: every chunk's flight is done; slots map back onto global point
-  // indices, and a failed flight turns into per-point "dispatch" errors
-  // under the same keys the sweep engine itself would have used.
-  for (const Chunk& c : run.chunks) {
-    const Flight& f = *c.flight;
-    for (std::size_t p = 0; p < c.idx.size(); ++p) {
-      const std::size_t i = c.idx[p];
-      if (f.ok && f.slots[p].ok) {
-        points[i].cycles = f.slots[p].cycles;
-        points[i].energy = f.slots[p].energy;
-        points[i].utilization = f.slots[p].utilization;
-        have[i] = 1;
-      } else if (f.ok) {
-        errs[i] = f.slots[p].error;
-        failed[i] = 1;
-      } else {
-        errs[i] = core::PointError{c.labels[p],
-                                   core::design_point_short_key(keys[i]),
-                                   "dispatch", f.fail_what};
-        failed[i] = 1;
-      }
-    }
-  }
-
-  for (std::size_t i = 0; i < n; ++i) {
-    if (have[i])
-      outcome.points.push_back(std::move(points[i]));
-    else if (failed[i])
-      outcome.errors.push_back(std::move(errs[i]));
-  }
-  if (stats) {
-    stats->points = outcome.points.size();
-    stats->point_errors = outcome.errors.size();
-    stats->resumed = outcome.resumed;
-  }
-  return core::sweep_outcome_json(req.knob + " on " + req.base.model_label,
-                                  outcome);
+  return sweep_response(req, ledger.take_outcome(), stats);
 }
 
 }  // namespace sqz::serve

@@ -3,14 +3,14 @@
 //
 // One sqzserved started with --workers host:port,... stops simulating
 // sweeps itself and becomes a dispatcher: the sweep's design points are
-// routed over the WorkerPool's consistent-hash ring (so each worker's
-// simcache/plancache stays hot on a stable shard), grouped into chunks,
-// and posted to workers as ordinary /v1/sweep requests over
-// serve/httpclient. The response is assembled from the chunk results and
-// re-rendered with the same core/dse writer a single node uses — so by
-// the journal round-trip property (util/json.h shortest round-trip
-// numbers) the distributed dump is byte-identical to the uninterrupted
-// single-node run.
+// routed over the WorkerPool's consistent-hash ring (a point lands on the
+// same worker sweep after sweep), grouped into chunks, and posted to
+// workers as ordinary /v1/sweep requests over serve/httpclient. Chunk
+// results are recorded in the same core::SweepLedger the local engine
+// keeps its books in, and the response is rendered by the same tail
+// (serve::sweep_response) — so by the journal round-trip property
+// (util/json.h shortest round-trip numbers) the distributed dump is
+// byte-identical to the uninterrupted single-node run.
 //
 // Worker death is a routine event, not an error:
 //   * a failed chunk (refused connection, timeout, 5xx, injected
@@ -22,33 +22,24 @@
 //     wins and the loser is discarded by point identity. The
 //     "coord.steal" fault point stalls a primary dispatch to force this
 //     path deterministically;
-//   * identical chunks already in flight are deduplicated (single-flight):
-//     a second identical sweep attaches to the running chunk's result
-//     instead of re-dispatching it;
 //   * with a --sweep-journal, every completed point is appended to the
-//     coordinator's own journal as chunk results land, so a coordinator
-//     SIGKILL + restart re-dispatches only the unfinished points and the
-//     resumed dump is byte-identical.
+//     coordinator's own journal as its chunk lands, before the response
+//     reports it, so a coordinator SIGKILL + restart re-dispatches only the
+//     unfinished points and the resumed dump is byte-identical.
 //
-// How a run waits: one coordinator mutex guards the single-flight map,
-// every flight's result, and every run's chunk states and dispatch queue;
-// one condition variable carries every event. A run's dispatcher threads
-// wait for queued chunks. The calling thread (the run's monitor) waits
-// until every chunk's flight is done or its earliest deadline passes: an
-// owned in-flight chunk's straggler deadline, or the requeue time of a
-// chunk parked because no worker was usable. Publishing a flight wakes
-// every run, so chunks that attached to another run's flight finish the
-// moment it lands. Nothing sleeps and nothing polls.
+// How a run waits: each run has one mutex guarding its chunk states and
+// dispatch queue and one condition variable carrying every event. The
+// run's dispatcher threads wait for queued chunks. The calling thread (the
+// run's monitor) waits until every chunk has settled or its earliest
+// deadline passes: an in-flight chunk's straggler deadline, or the requeue
+// time of a chunk parked because no worker was usable. Nothing sleeps and
+// nothing polls.
 //
 // /v1/simulate is always served locally by a coordinator.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -137,15 +128,11 @@ class Coordinator {
   void record_takeover(const std::string& standby_addr);
 
   /// Shard, dispatch, and merge one sweep. Blocking; safe to call from
-  /// multiple connection handlers concurrently (identical in-flight chunks
-  /// are deduplicated across calls). Journals completed points to
-  /// `journal` (may be null) as chunks land.
+  /// multiple connection handlers concurrently (each call dispatches its
+  /// own chunks). Journals completed points to `journal` (may be null) as
+  /// chunks land.
   std::string run_sweep(const SweepRequest& req, core::SweepJournal* journal,
                         SweepRunStats* stats);
-
-  /// One chunk's in-flight result record — the single-flight unit. Defined
-  /// in coordinator.cpp; public so the dispatch machinery can name it.
-  struct Flight;
 
  private:
   /// Append one sqzm1 event; journal errors are logged, not fatal — a
@@ -158,13 +145,6 @@ class Coordinator {
   Metrics* metrics_;
   core::SweepJournal* journal_;
   WorkerPool pool_;
-
-  /// Guards flights_, every Flight, and every run's dispatch state; cv_
-  /// is notified on every change a waiter could act on.
-  std::mutex mu_;
-  std::condition_variable cv_;
-  /// The single-flight table: chunk request body -> in-flight result.
-  std::unordered_map<std::string, std::shared_ptr<Flight>> flights_;
 };
 
 }  // namespace sqz::serve

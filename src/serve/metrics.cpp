@@ -83,11 +83,6 @@ void Metrics::record_coord_steal() {
   ++s_.coord_steals;
 }
 
-void Metrics::record_coord_singleflight_hit() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++s_.coord_singleflight_hits;
-}
-
 void Metrics::record_coord_ejection() {
   std::lock_guard<std::mutex> lock(mu_);
   ++s_.coord_worker_ejections;
@@ -210,9 +205,6 @@ std::string Metrics::render(const SimCache::Stats& cache,
   counter("sqzserved_coord_steals_total",
           "Straggler chunks re-dispatched to another worker (work stealing).",
           static_cast<double>(s.coord_steals));
-  counter("sqzserved_coord_singleflight_hits_total",
-          "Identical in-flight chunks deduplicated across sweeps.",
-          static_cast<double>(s.coord_singleflight_hits));
   counter("sqzserved_coord_worker_ejections_total",
           "Workers ejected from the ring by the health state machine.",
           static_cast<double>(s.coord_worker_ejections));

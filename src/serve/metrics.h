@@ -39,7 +39,6 @@ class Metrics {
     std::uint64_t coord_points_dispatched = 0;   ///< Points posted to workers.
     std::uint64_t coord_points_requeued = 0;     ///< Points re-dispatched.
     std::uint64_t coord_steals = 0;              ///< Straggler re-dispatches.
-    std::uint64_t coord_singleflight_hits = 0;   ///< Chunks deduplicated.
     std::uint64_t coord_worker_ejections = 0;    ///< Workers newly ejected.
     std::uint64_t coord_retries = 0;             ///< Extra same-worker attempts.
     std::uint64_t coord_chunks_inflight = 0;     ///< Chunks on the wire (gauge).
@@ -74,7 +73,6 @@ class Metrics {
   void record_coord_dispatch(std::uint64_t points);  ///< One chunk posted.
   void record_coord_requeue(std::uint64_t points);   ///< One chunk requeued.
   void record_coord_steal();
-  void record_coord_singleflight_hit();
   void record_coord_ejection();
   void record_coord_retries(std::uint64_t retries);
   void coord_chunk_started();

@@ -74,6 +74,9 @@ struct LayerResult {
   /// Populated by retime_layer when the run uses the tile timeline; empty
   /// under the flat analytic model.
   std::vector<TimelineEvent> timeline;
+  /// Row bands the tile timeline ran (fixed heuristic or searched); 0 under
+  /// the flat analytic model.
+  int tile_bands = 0;
 
   /// PE-array utilization: useful MACs per PE per total cycle.
   double utilization(int pe_count) const noexcept {

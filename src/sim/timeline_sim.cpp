@@ -25,6 +25,7 @@ LayerResult retime_layer(const nn::Model& model, const LayerResult& analytic,
   r.total_cycles = tl.total_cycles;
   r.dram_cycles = tl.dma_busy_cycles;
   r.timeline = std::move(tl.events);
+  r.tile_bands = static_cast<int>(plan.tiles.size());  // one tile per band
   // Halo re-reads discovered by the tiler are real DRAM traffic the flat
   // analytic model does not see.
   r.counts.dram_words += plan.halo_reread_words;

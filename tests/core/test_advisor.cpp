@@ -41,7 +41,9 @@ TEST(Advisor, AccuracyFloorFiltersWeakModels) {
   ASSERT_TRUE(r.best.has_value());
   EXPECT_GE(r.candidates[*r.best].top1, 60.0);
   for (const CandidateEvaluation& e : r.candidates)
-    if (e.feasible) EXPECT_GE(e.top1, 60.0) << e.name;
+    if (e.feasible) {
+      EXPECT_GE(e.top1, 60.0) << e.name;
+    }
 }
 
 TEST(Advisor, InfeasibleBudgetYieldsNoPick) {

@@ -182,8 +182,9 @@ TEST(Cli, JsonReportHonoursKnobs) {
   EXPECT_EQ(report.at("config").at("support").as_string(), "os");
   for (const util::JsonValue& l : report.at("layers").items)
     if (l.at("engine").as_string() == "pe-array" &&
-        l.at("kind").as_string() == "conv")
+        l.at("kind").as_string() == "conv") {
       EXPECT_EQ(l.at("dataflow").as_string(), "OS");
+    }
 }
 
 TEST(Cli, TraceFileIsValidAndSpansTheRun) {

@@ -28,8 +28,9 @@ TEST(Tuning, BestIsMinimal) {
     best_cycles = std::min(best_cycles, c.cycles);
   for (const TuningCandidate& c : r.candidates)
     if (c.config.rf_entries == r.best.rf_entries &&
-        c.config.array_n == r.best.array_n)
+        c.config.array_n == r.best.array_n) {
       EXPECT_EQ(c.cycles, best_cycles);
+    }
 }
 
 TEST(Tuning, PaperRfTuneUp) {
@@ -57,8 +58,9 @@ TEST(Tuning, EnergyObjectiveSelectable) {
   double best = std::numeric_limits<double>::infinity();
   for (const auto& c : by_energy.candidates) best = std::min(best, c.energy);
   for (const auto& c : by_energy.candidates)
-    if (c.config.rf_entries == by_energy.best.rf_entries)
+    if (c.config.rf_entries == by_energy.best.rf_entries) {
       EXPECT_EQ(c.energy, best);
+    }
 }
 
 TEST(Advice, FlagsLowUtilizationEarlyLayers) {
@@ -80,7 +82,9 @@ TEST(Advice, FlagsLowUtilizationEarlyLayers) {
   EXPECT_GT(early, late);
   // Every stage-1 bottleneck conv runs well below half utilization.
   for (const auto& d : advice.layers)
-    if (d.layer_name.find("stage1/") == 0) EXPECT_LT(d.utilization, 0.5);
+    if (d.layer_name.find("stage1/") == 0) {
+      EXPECT_LT(d.utilization, 0.5);
+    }
 }
 
 TEST(Advice, DiagnosesAlexNetFcAsDramBound) {

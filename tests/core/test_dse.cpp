@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 
 #include "nn/zoo/zoo.h"
 #include "util/json_parse.h"
@@ -13,7 +14,8 @@ namespace {
 TEST(Dse, EvaluateProducesOnePointPerConfig) {
   const nn::Model m = nn::zoo::squeezenet_v11();
   const auto configs =
-      sweep_rf_entries(sim::AcceleratorConfig::squeezelerator(), {4, 8, 16});
+      sweep_knob(sim::AcceleratorConfig::squeezelerator(), "rf_entries",
+                 {4, 8, 16});
   const auto points = evaluate_designs(m, configs);
   ASSERT_EQ(points.size(), 3u);
   EXPECT_EQ(points[0].label, "RF=4");
@@ -67,7 +69,8 @@ TEST(Dse, JsonDumpCarriesEveryPointWithParetoMembership) {
 TEST(Dse, JsonDumpOfARealSweepParses) {
   const nn::Model m = nn::zoo::squeezenet_v11();
   const auto points = evaluate_designs(
-      m, sweep_rf_entries(sim::AcceleratorConfig::squeezelerator(), {8, 16}));
+      m, sweep_knob(sim::AcceleratorConfig::squeezelerator(), "rf_entries",
+                    {8, 16}));
   std::ostringstream os;
   write_design_points_json("rf_entries on squeezenet11", points, os);
   const util::JsonValue doc = util::parse_json(os.str());
@@ -120,7 +123,8 @@ TEST(Dse, ParetoExcludesEveryDuplicateOfADominatedPoint) {
 TEST(Dse, ParetoOfRealSweepNonEmpty) {
   const nn::Model m = nn::zoo::squeezenet_v11();
   const auto points = evaluate_designs(
-      m, sweep_array_n(sim::AcceleratorConfig::squeezelerator(), {8, 16, 32}));
+      m, sweep_knob(sim::AcceleratorConfig::squeezelerator(), "array_n",
+                    {8, 16, 32}));
   const auto front = pareto_front(points);
   EXPECT_GE(front.size(), 1u);
   EXPECT_LE(front.size(), points.size());
@@ -128,18 +132,45 @@ TEST(Dse, ParetoOfRealSweepNonEmpty) {
 
 TEST(Dse, SweepBuildersSetKnobs) {
   const auto base = sim::AcceleratorConfig::squeezelerator();
-  EXPECT_EQ(sweep_array_n(base, {8})[0].second.array_n, 8);
-  EXPECT_EQ(sweep_array_n(base, {8})[0].first, "8x8");
-  EXPECT_DOUBLE_EQ(sweep_sparsity(base, {0.2})[0].second.weight_sparsity, 0.2);
-  EXPECT_EQ(sweep_sparsity(base, {0.2})[0].first, "sparsity=20%");
-  EXPECT_DOUBLE_EQ(sweep_dram_bandwidth(base, {8.0})[0].second.dram_bytes_per_cycle,
+  EXPECT_EQ(sweep_knob(base, "array_n", {8})[0].second.array_n, 8);
+  EXPECT_EQ(sweep_knob(base, "array_n", {8})[0].first, "8x8");
+  EXPECT_DOUBLE_EQ(
+      sweep_knob(base, "sparsity", {0.2})[0].second.weight_sparsity, 0.2);
+  EXPECT_EQ(sweep_knob(base, "sparsity", {0.2})[0].first, "sparsity=20%");
+  EXPECT_DOUBLE_EQ(sweep_knob(base, "dram_bytes_per_cycle", {8.0})[0]
+                       .second.dram_bytes_per_cycle,
                    8.0);
+}
+
+TEST(Dse, SweepKnobRejectsUnknownKnobsAndFractionalIntegers) {
+  const auto base = sim::AcceleratorConfig::squeezelerator();
+  EXPECT_EQ(sweep_knob(base, "rf_entries", {16})[0].first, "RF=16");
+  EXPECT_EQ(sweep_knob(base, "dram_bytes_per_cycle", {8.0})[0].first,
+            "DRAM=8B/cyc");
+  EXPECT_TRUE(sweep_knob(base, "array_n", {}).empty());
+  try {
+    sweep_knob(base, "pe_count", {});
+    ADD_FAILURE() << "an unknown knob must throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "knob must be one of rf_entries|array_n|sparsity|"
+                 "dram_bytes_per_cycle, got 'pe_count'");
+  }
+  for (const double bad : {8.5, 1e12, -1e12}) {
+    try {
+      sweep_knob(base, "rf_entries", {8.0, bad});
+      ADD_FAILURE() << bad << " must be rejected";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), "values for rf_entries must be integers");
+    }
+  }
 }
 
 TEST(Dse, BiggerArrayFasterOnBigNetwork) {
   const nn::Model m = nn::zoo::squeezenet_v10();
   const auto points = evaluate_designs(
-      m, sweep_array_n(sim::AcceleratorConfig::squeezelerator(), {8, 32}));
+      m, sweep_knob(sim::AcceleratorConfig::squeezelerator(), "array_n",
+                    {8, 32}));
   EXPECT_GT(points[0].cycles, points[1].cycles);
 }
 

@@ -5,9 +5,9 @@
 // simulated metrics fails loudly with the JSON path that diverged, instead
 // of silently changing the dashboard/regression-diff format.
 //
-// Regenerate after an intentional simulator or schema change:
-//   build/tools/sqzsim --model sqnxt23 --dump-rf-sweep \
-//       > tests/data/rf_sweep_golden.json
+// Regenerate after an intentional simulator or schema change (one command):
+//   build/tools/sqzsim --model sqnxt23 --dump-rf-sweep
+//   > tests/data/rf_sweep_golden.json
 #include "core/dse.h"
 
 #include <gtest/gtest.h>
@@ -78,7 +78,8 @@ void expect_same_json(const JsonValue& want, const JsonValue& got,
 std::string fresh_rf_sweep_dump() {
   const nn::Model m = nn::zoo::squeezenext();
   const auto points = evaluate_designs(
-      m, sweep_rf_entries(sim::AcceleratorConfig::squeezelerator(), {8, 16}));
+      m, sweep_knob(sim::AcceleratorConfig::squeezelerator(), "rf_entries",
+                    {8, 16}));
   std::ostringstream os;
   write_design_points_json("rf_entries on sqnxt23", points, os);
   return os.str();

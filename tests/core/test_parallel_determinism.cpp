@@ -31,7 +31,8 @@ SweepRun run_array_sweep(int jobs) {
   util::ThreadPool::set_global_jobs(jobs);
   const nn::Model m = nn::zoo::squeezenext();
   const auto configs =
-      sweep_array_n(sim::AcceleratorConfig::squeezelerator(), {8, 16, 24, 32});
+      sweep_knob(sim::AcceleratorConfig::squeezelerator(), "array_n",
+                 {8, 16, 24, 32});
   SweepRun r;
   r.points = evaluate_designs(m, configs);
   std::ostringstream os;

@@ -90,9 +90,10 @@ TEST(ParetoFuzz, DuplicatesShareTheirFate) {
       in_front[static_cast<std::size_t>(std::stoll(f.label))] = true;
     for (std::size_t i = 0; i < pts.size(); ++i)
       for (std::size_t j = i + 1; j < pts.size(); ++j)
-        if (pts[i].cycles == pts[j].cycles && pts[i].energy == pts[j].energy)
+        if (pts[i].cycles == pts[j].cycles && pts[i].energy == pts[j].energy) {
           EXPECT_EQ(in_front[i], in_front[j])
               << "duplicates " << i << "/" << j << " split at iter " << iter;
+        }
   }
 }
 

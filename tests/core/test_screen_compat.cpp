@@ -123,8 +123,8 @@ TEST(Screening, ScreenedSweepJournalsOnlyExactKeys) {
 
   const std::string model_text =
       nn::serialize_model(nn::zoo::tiny_darknet());
-  const auto configs = sweep_rf_entries(
-      sim::AcceleratorConfig::squeezelerator(), {2, 4, 8, 16, 32});
+  const auto configs = sweep_knob(
+      sim::AcceleratorConfig::squeezelerator(), "rf_entries", {2, 4, 8, 16, 32});
   // The exact key of a --tile-search point: its fidelity is part of it.
   sched::SimulationOptions fidelity;
   fidelity.tile_timeline = true;

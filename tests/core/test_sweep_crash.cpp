@@ -153,8 +153,8 @@ TEST(SweepResume, FlatJournalIsNotServedToATimelineSweep) {
   // not restore the flat sweep's metrics, and each fidelity resumes its own.
   const std::string dir = fresh_dir("fidelity");
   const nn::Model model = nn::zoo::tiny_darknet();
-  const auto configs = sweep_rf_entries(
-      sim::AcceleratorConfig::squeezelerator(), {4, 8, 16});
+  const auto configs = sweep_knob(
+      sim::AcceleratorConfig::squeezelerator(), "rf_entries", {4, 8, 16});
   SweepOptions flat;
   SweepOptions timeline;
   timeline.tile_timeline = true;

@@ -51,8 +51,9 @@ TEST_F(Figure1, LargeMapSpatialConvsChooseOs) {
   // The early fire modules (largest maps) must be among the OS picks.
   for (const auto& l : cmp().hybrid.layers) {
     const std::string& n = l.layer_name;
-    if (n == "fire2/expand3x3" || n == "fire3/expand3x3")
+    if (n == "fire2/expand3x3" || n == "fire3/expand3x3") {
       EXPECT_EQ(l.dataflow, sim::Dataflow::OutputStationary) << n;
+    }
   }
 }
 

@@ -5,6 +5,8 @@
 #include <algorithm>
 
 #include "nn/zoo/zoo.h"
+#include "sched/residency.h"
+#include "sim/tiling.h"
 
 namespace sqz::sched {
 namespace {
@@ -45,9 +47,10 @@ TEST(Compile, DataflowsMatchSelector) {
   const Program p = compile(m, kCfg);
   const auto r = simulate_network(m, kCfg);
   for (std::size_t i = 0; i < p.commands.size(); ++i)
-    if (p.commands[i].unit == LayerCommand::Unit::PeArray)
+    if (p.commands[i].unit == LayerCommand::Unit::PeArray) {
       EXPECT_EQ(p.commands[i].dataflow, r.layers[i].dataflow)
           << p.commands[i].layer_name;
+    }
 }
 
 TEST(Compile, DmaDescriptorsMatchSimulatedTraffic) {
@@ -94,8 +97,39 @@ TEST(Compile, ListingIsCompleteAndReadable) {
 TEST(Compile, TileCountsPositive) {
   const nn::Model m = nn::zoo::squeezenet_v10();
   for (const LayerCommand& c : compile(m, kCfg).commands)
-    if (c.unit != LayerCommand::Unit::FusedIntoProducer)
+    if (c.unit != LayerCommand::Unit::FusedIntoProducer) {
       EXPECT_GE(c.tile_count, 1) << c.layer_name;
+    }
+}
+
+TEST(Compile, TileSearchProgramTilesAtTheSearchedBandCount) {
+  // A --tile-search program must describe the tiles its timeline ran: the
+  // searched band count per layer, not the fixed streaming heuristic.
+  const nn::Model m = nn::zoo::squeezenet_v11();
+  SimulationOptions timeline;
+  timeline.tile_timeline = true;
+  SimulationOptions search = timeline;
+  search.tile_search = true;
+  const sim::NetworkResult r = simulate_network(m, kCfg, search);
+  const Program p = compile(m, kCfg, search);
+  const Program fixed = compile(m, kCfg, timeline);
+  EXPECT_EQ(p.expected_total_cycles(), r.total_cycles());
+
+  const ResidencyPlan plan = plan_residency(m, kCfg);
+  int retiled = 0;
+  for (std::size_t i = 0; i < p.commands.size(); ++i) {
+    const LayerCommand& c = p.commands[i];
+    const sim::TileSearchResult searched = sim::search_layer_tiles(
+        m, c.layer_idx, kCfg, plan.placement_for(m, c.layer_idx),
+        r.layers[i].compute_cycles);
+    EXPECT_EQ(c.tile_count, searched.bands) << c.layer_name;
+    std::int64_t dma_in = 0;
+    for (const sim::TileJob& t : searched.plan.tiles) dma_in += t.dma_in_words;
+    EXPECT_EQ(c.dma_in_words, dma_in) << c.layer_name;
+    retiled += c.tile_count != fixed.commands[i].tile_count;
+  }
+  // The search picks a different band count than the heuristic somewhere.
+  EXPECT_GT(retiled, 0);
 }
 
 }  // namespace

@@ -13,25 +13,33 @@ namespace {
 
 constexpr std::uint64_t kSeed = 0x5eed0e57;
 
+// prefix + decimal index, appended in place: GCC 12's -Wrestrict misfires
+// on `"literal" + std::to_string(i)` once that is inlined into a test.
+std::string numbered(const char* prefix, int i) {
+  std::string name = prefix;
+  name += std::to_string(i);
+  return name;
+}
+
 nn::Model random_model(util::Rng& rng, int tag) {
   const int cin = static_cast<int>(rng.next_in(1, 64));
   const int hw = static_cast<int>(rng.next_in(7, 64));
-  nn::Model m("rand-" + std::to_string(tag), nn::TensorShape{cin, hw, hw});
+  nn::Model m(numbered("rand-", tag), nn::TensorShape{cin, hw, hw});
   const int layers = static_cast<int>(rng.next_in(1, 5));
   for (int i = 0; i < layers; ++i) {
     const int kind = static_cast<int>(rng.next_below(4));
     const nn::TensorShape cur = m.layer(m.layer_count() - 1).out_shape;
     if (kind == 0 && cur.h >= 3) {
-      m.add_maxpool("mp" + std::to_string(i), 2, 2);
+      m.add_maxpool(numbered("mp", i), 2, 2);
     } else if (kind == 1 && cur.h >= 3) {
       const int k = rng.next_bernoulli(0.5) ? 3 : 1;
-      m.add_conv("c" + std::to_string(i),
+      m.add_conv(numbered("c", i),
                  static_cast<int>(rng.next_in(1, 96)), k,
                  rng.next_bernoulli(0.3) ? 2 : 1, k / 2);
     } else if (kind == 2 && cur.h >= 3) {
-      m.add_depthwise("dw" + std::to_string(i), 3, 1, 1);
+      m.add_depthwise(numbered("dw", i), 3, 1, 1);
     } else {
-      m.add_relu("r" + std::to_string(i));
+      m.add_relu(numbered("r", i));
     }
   }
   m.finalize();

@@ -35,9 +35,10 @@ TEST(Selector, PicksFasterDataflowPerLayer) {
 TEST(Selector, DepthwiseGoesOutputStationary) {
   const nn::Model m = nn::zoo::mobilenet();
   for (const LayerChoice& c : choose(m, kHybrid)) {
-    if (m.layer(c.layer_idx).is_depthwise())
+    if (m.layer(c.layer_idx).is_depthwise()) {
       EXPECT_EQ(c.dataflow, sim::Dataflow::OutputStationary)
           << m.layer(c.layer_idx).name;
+    }
   }
 }
 
@@ -55,11 +56,13 @@ TEST(Selector, ForcedConfigsHaveNoChoice) {
   ws.support = sim::DataflowSupport::WsOnly;
   os.support = sim::DataflowSupport::OsOnly;
   for (const LayerChoice& c : choose(m, ws))
-    if (m.layer(c.layer_idx).is_conv())
+    if (m.layer(c.layer_idx).is_conv()) {
       EXPECT_EQ(c.dataflow, sim::Dataflow::WeightStationary);
+    }
   for (const LayerChoice& c : choose(m, os))
-    if (m.layer(c.layer_idx).is_conv())
+    if (m.layer(c.layer_idx).is_conv()) {
       EXPECT_EQ(c.dataflow, sim::Dataflow::OutputStationary);
+    }
 }
 
 TEST(Selector, FcAlwaysWeightStationary) {
@@ -67,8 +70,9 @@ TEST(Selector, FcAlwaysWeightStationary) {
   sim::AcceleratorConfig os = kHybrid;
   os.support = sim::DataflowSupport::OsOnly;
   for (const LayerChoice& c : choose(m, os))
-    if (m.layer(c.layer_idx).is_fc())
+    if (m.layer(c.layer_idx).is_fc()) {
       EXPECT_EQ(c.dataflow, sim::Dataflow::WeightStationary);
+    }
 }
 
 TEST(Selector, CoversEveryNonInputLayer) {

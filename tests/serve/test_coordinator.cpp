@@ -449,10 +449,11 @@ TEST_F(CoordinatorDrill, CoordinatorSigkillThenResumeIsByteIdentical) {
   const HttpResponse r = post_sweep(resumed.port, kSweepBody);
   ASSERT_EQ(r.status, 200) << r.body;
   EXPECT_EQ(r.body, local_golden(kSweepBody));
-  if (journaled)
+  if (journaled) {
     EXPECT_GE(metric(get(resumed.port, "/metrics").body,
                      "sqzserved_sweep_resumed_total"),
               1.0);
+  }
   stop_gracefully(resumed);
   fs::remove(resumed.out);
   fs::remove_all(dir);
@@ -498,9 +499,69 @@ TEST_F(CoordinatorDrill, DispatchExhaustionSurfacesStructuredPointErrors) {
   EXPECT_EQ(*again.header("X-Sqz-Cache"), "miss");
 }
 
-TEST_F(CoordinatorDrill, IdenticalInFlightChunksAreSingleFlighted) {
+TEST_F(CoordinatorDrill, JournalAppendFailureIsPhaseJournalLikeALocalRun) {
+  // The coordinator journals each point as its chunk lands; a failed append
+  // must surface exactly as it does on a single node: a 200 partial whose
+  // error entry has phase "journal" under the same label and key.
+  const std::string body =
+      R"({"model":"tinydarknet","sweep":{"knob":"rf_entries","values":[8]}})";
+  const auto errors_of = [](const std::string& response) {
+    return util::parse_json(response).at("errors");
+  };
+
+  const fs::path local_dir = fs::temp_directory_path() /
+                             ("sqz_journal_fail_local_" +
+                              std::to_string(::getpid()));
+  fs::remove_all(local_dir);
+  util::JsonValue local;
+  {
+    core::SweepJournal journal(local_dir.string());
+    util::fault::arm("sweepjournal.append", util::fault::make_errno(ENOSPC), 1);
+    local = errors_of(run_sweep(parse_sweep_request(body), &journal));
+    util::fault::reset();
+  }
+  fs::remove_all(local_dir);
+  ASSERT_EQ(local.items.size(), 1u);
+  const util::JsonValue& want = local.at(std::size_t{0});
+  ASSERT_EQ(want.at("phase").as_string(), "journal");
+
+  spawn_worker();
+  spawn_worker();
+  const fs::path dir = fs::temp_directory_path() /
+                       ("sqz_journal_fail_coord_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  ServerOptions opt = coord_options(workers_);
+  opt.sweep_journal_dir = dir.string();
+  {
+    Server coord(opt);
+    coord.start();
+    util::fault::arm("sweepjournal.append", util::fault::make_errno(ENOSPC), 1);
+    const HttpResponse r = post_sweep(coord.port(), body);
+    util::fault::reset();
+    ASSERT_EQ(r.status, 200) << r.body;
+    EXPECT_TRUE(util::parse_json(r.body).at("points").items.empty());
+    const util::JsonValue errors = errors_of(r.body);
+    ASSERT_EQ(errors.items.size(), 1u);
+    const util::JsonValue& got = errors.at(std::size_t{0});
+    EXPECT_EQ(got.at("phase").as_string(), "journal");
+    EXPECT_EQ(got.at("label").as_string(), want.at("label").as_string());
+    EXPECT_EQ(got.at("key").as_string(), want.at("key").as_string());
+
+    // The partial was not cached: the retry re-executes, journals, and
+    // answers the uninterrupted bytes.
+    const HttpResponse again = post_sweep(coord.port(), body);
+    ASSERT_EQ(again.status, 200) << again.body;
+    ASSERT_NE(again.header("X-Sqz-Cache"), nullptr);
+    EXPECT_EQ(*again.header("X-Sqz-Cache"), "miss");
+    EXPECT_EQ(again.body, local_golden(body));
+  }
+  fs::remove_all(dir);
+}
+
+TEST_F(CoordinatorDrill, IdenticalConcurrentSweepsAreByteIdentical) {
   // Both workers stall each point 1.5 s, so the first sweep's chunks are
-  // still in flight when the second identical sweep arrives and attaches.
+  // still in flight when the second identical sweep arrives; each run
+  // dispatches its own chunks, and both answer the local bytes.
   spawn_worker("dse.point=stall:1500*64");
   spawn_worker("dse.point=stall:1500*64");
   ServerOptions opt = coord_options(workers_);
@@ -528,7 +589,6 @@ TEST_F(CoordinatorDrill, IdenticalInFlightChunksAreSingleFlighted) {
   ASSERT_EQ(second.status, 200) << second.body;
   EXPECT_EQ(first.body, second.body);
   EXPECT_EQ(first.body, local_golden(kSweepBody));
-  EXPECT_GE(coord.metrics().snapshot().coord_singleflight_hits, 1u);
 }
 
 // --- dynamic membership & HA drills -----------------------------------------

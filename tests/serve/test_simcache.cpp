@@ -17,6 +17,14 @@ namespace {
 
 namespace fs = std::filesystem;
 
+// prefix + decimal index, appended in place: GCC 12's -Wrestrict misfires
+// on `"literal" + std::to_string(i)` once that is inlined into a test.
+std::string numbered(const char* prefix, int i) {
+  std::string name = prefix;
+  name += std::to_string(i);
+  return name;
+}
+
 std::string read_file(const fs::path& path) {
   std::ifstream in(path, std::ios::binary);
   std::string bytes((std::istreambuf_iterator<char>(in)),
@@ -289,7 +297,7 @@ TEST_F(SimCacheFaults, PersistentWriteFailureDemotesToMemoryOnly) {
   util::fault::arm("simcache.write", util::fault::make_errno(ENOSPC),
                    SimCache::kDiskFailureLimit);
   for (int i = 0; i < SimCache::kDiskFailureLimit; ++i)
-    cache.put("k" + std::to_string(i), "v" + std::to_string(i));
+    cache.put(numbered("k", i), numbered("v", i));
   auto s = cache.stats();
   EXPECT_EQ(s.disk_errors,
             static_cast<std::uint64_t>(SimCache::kDiskFailureLimit));
@@ -324,10 +332,12 @@ TEST(SimCache, ConcurrentPutGetIsSafe) {
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&cache, t] {
       for (int i = 0; i < 200; ++i) {
-        const std::string key = "k" + std::to_string((t * 31 + i) % 50);
+        const std::string key = numbered("k", (t * 31 + i) % 50);
         cache.put(key, "v" + key);
         const auto v = cache.get(key);
-        if (v) EXPECT_EQ(*v, "v" + key);
+        if (v) {
+          EXPECT_EQ(*v, "v" + key);
+        }
       }
     });
   }

@@ -395,7 +395,9 @@ TEST(WorkerPoolMembership, GracefulDeregisterMovesOnlyTheDrainedArcs) {
     const int now = pool.route(h);
     ASSERT_GE(now, 0);
     EXPECT_NE(now, 1);
-    if (w != 1) EXPECT_EQ(now, w) << "a survivor's shard must not move";
+    if (w != 1) {
+      EXPECT_EQ(now, w) << "a survivor's shard must not move";
+    }
   }
 }
 

@@ -4,6 +4,7 @@
 // GET /healthz and /metrics, with a content-addressed result cache so
 // repeated design points never re-simulate. SIGINT/SIGTERM shut down
 // gracefully: the listener closes first and in-flight requests drain.
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -20,10 +21,13 @@
 
 namespace {
 
-// Async-signal-safe shutdown latch; the main thread polls it.
-volatile std::sig_atomic_t g_stop = 0;
+// Async-signal-safe shutdown latch; the main thread polls it. A lock-free
+// atomic: the signal may land on any thread, and only an atomic orders the
+// handler's store before the main thread's load.
+std::atomic<bool> g_stop{false};
+static_assert(std::atomic<bool>::is_always_lock_free);
 
-void on_signal(int) { g_stop = 1; }
+void on_signal(int) { g_stop.store(true); }
 
 const char* kUsage =
     "usage: sqzserved [options]\n"
@@ -268,7 +272,8 @@ int main(int argc, char** argv) {
 
     std::signal(SIGINT, on_signal);
     std::signal(SIGTERM, on_signal);
-    while (!g_stop) std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    while (!g_stop.load())
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
 
     std::printf("sqzserved: draining in-flight requests...\n");
     server.stop();
