@@ -3,6 +3,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <ostream>
@@ -406,6 +407,17 @@ nn::Model zoo_model_by_name(const std::string& name) {
       "unknown model '" + name +
       "' (alexnet mobilenet tinydarknet squeezenet10 squeezenet11 sqnxt, or "
       "--model-file)");
+}
+
+const std::string& zoo_model_text(const std::string& name) {
+  static std::mutex mu;
+  static std::map<std::string, std::string> texts;  // nodes never move
+  std::lock_guard<std::mutex> lock(mu);
+  auto it = texts.find(name);
+  if (it == texts.end())
+    it = texts.emplace(name, nn::serialize_model(zoo_model_by_name(name)))
+             .first;
+  return it->second;
 }
 
 std::string cli_usage() {

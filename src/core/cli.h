@@ -31,4 +31,9 @@ std::string cli_usage();
 /// std::invalid_argument on an unknown name.
 nn::Model zoo_model_by_name(const std::string& name);
 
+/// nn::serialize_model(zoo_model_by_name(name)), serialized once per process
+/// and name: the canonical text a served request keys and identifies a zoo
+/// network by. Thread-safe; throws like zoo_model_by_name.
+const std::string& zoo_model_text(const std::string& name);
+
 }  // namespace sqz::core

@@ -134,9 +134,13 @@ std::string design_point_key(const std::string& model_text,
 }
 
 std::string design_point_short_key(const std::string& key) {
+  return design_point_short_key(util::fnv1a64(key));
+}
+
+std::string design_point_short_key(std::uint64_t key_hash) {
   char hex[17];
   std::snprintf(hex, sizeof(hex), "%016llx",
-                static_cast<unsigned long long>(util::fnv1a64(key)));
+                static_cast<unsigned long long>(key_hash));
   return hex;
 }
 
@@ -181,6 +185,7 @@ SweepLedger::SweepLedger(const std::string& model_text,
     : configs_(configs),
       journal_(journal),
       keys_(configs.size()),
+      hashes_(configs.size()),
       points_(configs.size()),
       errors_(configs.size()),
       state_(configs.size(), State::Pending) {
@@ -197,6 +202,11 @@ SweepLedger::SweepLedger(const std::string& model_text,
     state_[i] = State::Done;
     ++resumed_;
   }
+}
+
+std::uint64_t SweepLedger::key_hash(std::size_t i) {
+  if (!hashes_[i]) hashes_[i] = util::fnv1a64(keys_[i]);
+  return *hashes_[i];
 }
 
 bool SweepLedger::complete(std::size_t i, const DesignPoint& metrics) {
@@ -222,13 +232,14 @@ bool SweepLedger::complete(std::size_t i, const DesignPoint& metrics) {
 
 void SweepLedger::fail(std::size_t i, const std::exception_ptr& error) {
   errors_[i] = classify_point_error(configs_[i].first,
-                                    design_point_short_key(keys_[i]), error);
+                                    design_point_short_key(key_hash(i)), error);
   state_[i] = State::Failed;
 }
 
 void SweepLedger::fail(std::size_t i, std::string phase, std::string what) {
-  errors_[i] = PointError{configs_[i].first, design_point_short_key(keys_[i]),
-                          std::move(phase), std::move(what)};
+  errors_[i] = PointError{configs_[i].first,
+                          design_point_short_key(key_hash(i)), std::move(phase),
+                          std::move(what)};
   state_[i] = State::Failed;
 }
 
@@ -247,8 +258,16 @@ SweepOutcome SweepLedger::take_outcome() {
 SweepOutcome evaluate_designs_checked(const nn::Model& model,
                                       const SweepConfigs& configs,
                                       const SweepOptions& opt) {
+  return evaluate_designs_checked(model, nn::serialize_model(model), configs,
+                                  opt);
+}
+
+SweepOutcome evaluate_designs_checked(const nn::Model& model,
+                                      const std::string& model_text,
+                                      const SweepConfigs& configs,
+                                      const SweepOptions& opt) {
   const std::size_t n = configs.size();
-  SweepLedger ledger(nn::serialize_model(model), configs, opt, opt.journal);
+  SweepLedger ledger(model_text, configs, opt, opt.journal);
 
   std::atomic<std::size_t> done{ledger.resumed()};
   std::atomic<std::size_t> failed{0};

@@ -5,9 +5,11 @@
 // paper's co-design narrative implies.
 #pragma once
 
+#include <cstdint>
 #include <exception>
 #include <functional>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -110,6 +112,8 @@ std::string design_point_key(const std::string& model_text,
 /// The 16-hex FNV-1a digest of a canonical design-point key — the form
 /// recorded in PointError::key.
 std::string design_point_short_key(const std::string& key);
+/// The same 16 hex from the key's util::fnv1a64, already computed.
+std::string design_point_short_key(std::uint64_t key_hash);
 
 /// The journal value for one completed point ({"cycles","energy",
 /// "utilization"} as compact JSON). util::json_number emits the shortest
@@ -140,6 +144,11 @@ class SweepLedger {
   std::size_t size() const { return keys_.size(); }
   /// Point i's canonical design-point key (design_point_key).
   const std::string& key(std::size_t i) const { return keys_[i]; }
+  /// util::fnv1a64 of key(i): the coordinator's ring position and chunk
+  /// hash, and the digest of the point's short key. Hashed at most once,
+  /// on first use, so a local sweep hashes only its failed points. Calls
+  /// for distinct points may run concurrently.
+  std::uint64_t key_hash(std::size_t i);
   /// True until point i is restored, completed or failed.
   bool pending(std::size_t i) const { return state_[i] == State::Pending; }
   /// Points restored from the journal at construction.
@@ -165,6 +174,7 @@ class SweepLedger {
   const SweepConfigs& configs_;
   SweepJournal* journal_;
   std::vector<std::string> keys_;
+  std::vector<std::optional<std::uint64_t>> hashes_;  ///< key_hash memo.
   std::vector<DesignPoint> points_;
   std::vector<PointError> errors_;
   std::vector<State> state_;
@@ -178,6 +188,14 @@ class SweepLedger {
 /// finish and already-journaled points are restored without re-simulating.
 SweepOutcome evaluate_designs_checked(
     const nn::Model& model,
+    const SweepConfigs& configs,
+    const SweepOptions& options = {});
+
+/// Same, with `model`'s serialized text (nn/serialize.h) already in hand —
+/// the key every point's design-point key embeds.
+SweepOutcome evaluate_designs_checked(
+    const nn::Model& model,
+    const std::string& model_text,
     const SweepConfigs& configs,
     const SweepOptions& options = {});
 

@@ -7,10 +7,14 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <functional>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "util/faultinject.h"
 #include "util/hash.h"
@@ -40,23 +44,29 @@ std::string render_record(const char* magic, const std::string& key,
   return record;
 }
 
+/// One framed record located in the recovery buffer.
+struct Frame {
+  char magic[8] = {0};         ///< The 5-byte type tag, NUL-terminated.
+  std::size_t payload_at = 0;  ///< Offset of the key bytes.
+  std::size_t key_len = 0;
+  std::size_t value_len = 0;
+};
+
 // Parse one record at `offset`. On success returns the offset one past the
-// record and fills `magic` with the record's 5-byte type tag; 0 on any
-// framing or checksum violation (the caller stops trusting the file from
-// `offset` on). The type tag is *not* interpreted here: any "sqz??" record
-// whose frame and checksum verify parses, so recovery can skip types this
-// build does not know (forward compatibility).
+// record and fills `frame`; 0 on any framing or checksum violation (the
+// caller stops trusting the file from `offset` on). The type tag is *not*
+// interpreted here: any "sqz??" record whose frame and checksum verify
+// parses, so recovery can skip types this build does not know (forward
+// compatibility).
 std::size_t parse_record(const std::string& raw, std::size_t offset,
-                         std::string& magic, std::string& key,
-                         std::string& value) {
+                         Frame& frame) {
   const std::size_t nl = raw.find('\n', offset);
   if (nl == std::string::npos || nl - offset > kMaxHeader) return 0;
   unsigned long long key_len = 0, value_len = 0, stored_sum = 0;
-  char magic_buf[8] = {0};
-  if (std::sscanf(raw.c_str() + offset, "%7s %llu %llu %16llx", magic_buf,
+  if (std::sscanf(raw.c_str() + offset, "%7s %llu %llu %16llx", frame.magic,
                   &key_len, &value_len, &stored_sum) != 4 ||
-      std::strlen(magic_buf) != kMagicLen ||
-      std::strncmp(magic_buf, "sqz", 3) != 0)
+      std::strlen(frame.magic) != kMagicLen ||
+      std::strncmp(frame.magic, "sqz", 3) != 0)
     return 0;
   const std::size_t payload_at = nl + 1;
   // Length guards before the sum: hostile lengths must not wrap the check.
@@ -64,10 +74,39 @@ std::size_t parse_record(const std::string& raw, std::size_t offset,
   if (key_len + value_len > raw.size() - payload_at) return 0;  // torn tail
   const std::string_view payload(raw.data() + payload_at, key_len + value_len);
   if (util::fnv1a64(payload) != stored_sum) return 0;
-  magic.assign(magic_buf);
-  key.assign(payload.substr(0, key_len));
-  value.assign(payload.substr(key_len, value_len));
+  frame.payload_at = payload_at;
+  frame.key_len = key_len;
+  frame.value_len = value_len;
   return payload_at + key_len + value_len;
+}
+
+bool write_all(int fd, const std::string& bytes) {
+  std::size_t put = 0;
+  while (put < bytes.size()) {
+    const ssize_t n = ::write(fd, bytes.data() + put, bytes.size() - put);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    put += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+// Fill `buf` (already sized) from `fd` at `at`; false on an error or a file
+// that ends early.
+bool read_at(int fd, std::uint64_t at, std::string& buf) {
+  std::size_t got = 0;
+  while (got < buf.size()) {
+    const ssize_t n = ::pread(fd, buf.data() + got, buf.size() - got,
+                              static_cast<off_t>(at + got));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    got += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+std::size_t key_hash(std::string_view key) {
+  return std::hash<std::string_view>{}(key);
 }
 
 }  // namespace
@@ -122,6 +161,7 @@ SweepJournal::SweepJournal(const std::string& dir)
 }
 
 SweepJournal::~SweepJournal() {
+  if (fd_ >= 0) ::close(fd_);
   if (lock_fd_ >= 0) ::close(lock_fd_);  // releases the flock
 }
 
@@ -141,22 +181,25 @@ void SweepJournal::open_and_recover() {
   }
   std::size_t trusted = 0;
   while (trusted < raw.size()) {
-    std::string magic, key, value;
-    const std::size_t next = parse_record(raw, trusted, magic, key, value);
+    Frame f;
+    const std::size_t next = parse_record(raw, trusted, f);
     if (next == 0) break;
-    if (magic == kPointMagic) {
-      entries_[std::move(key)] = std::move(value);
+    const std::string_view key(raw.data() + f.payload_at, f.key_len);
+    if (std::strcmp(f.magic, kPointMagic) == 0) {
+      index_point(key, f.payload_at, f.value_len);
       ++recovery_.records;
-    } else if (magic == kMembershipMagic) {
-      membership_.emplace_back(std::move(key), std::move(value));
+    } else if (std::strcmp(f.magic, kMembershipMagic) == 0) {
+      membership_.emplace_back(key, raw.substr(f.payload_at + f.key_len,
+                                               f.value_len));
       ++recovery_.records;
     } else {
       // A record type this build does not know, behind a valid checksum: a
       // newer writer appended it. Skip it — failing recovery here would
       // strand every point already journaled (forward compatibility).
       ++recovery_.skipped;
-      SQZ_LOG(Warn) << "sweepjournal: skipping unknown record type '" << magic
-                    << "' (" << (next - trusted) << " bytes) in " << path_;
+      SQZ_LOG(Warn) << "sweepjournal: skipping unknown record type '"
+                    << f.magic << "' (" << (next - trusted) << " bytes) in "
+                    << path_;
     }
     trusted = next;
   }
@@ -171,51 +214,103 @@ void SweepJournal::open_and_recover() {
                   << recovery_.dropped_bytes << " bytes) of " << path_
                   << "; " << recovery_.records << " records recovered";
   }
+  end_ = trusted;
 
-  out_.open(path_, std::ios::binary | std::ios::app);
-  if (!out_)
+  fd_ = ::open(path_.c_str(), O_CREAT | O_RDWR | O_APPEND | O_CLOEXEC, 0644);
+  if (fd_ < 0)
     throw SweepJournalError("sweepjournal: cannot open " + path_ +
-                             " for append");
+                             " for append: " + std::strerror(errno));
+}
+
+void SweepJournal::index_point(std::string_view key, std::uint64_t at,
+                               std::size_t value_len) {
+  // A record too large for a slot is never served (a miss re-simulates it);
+  // no sweep writes one.
+  constexpr std::size_t kMaxLen = UINT32_MAX;
+  if (key.size() > kMaxLen || value_len > kMaxLen) return;
+  index_.emplace(key_hash(key),
+                 Slot{at, static_cast<std::uint32_t>(key.size()),
+                      static_cast<std::uint32_t>(value_len)});
 }
 
 void SweepJournal::append_record(const char* magic, const std::string& key,
                                  const std::string& value) {
   std::string record = render_record(magic, key, value);
+  const std::size_t header_len = record.size() - key.size() - value.size();
 
   // "sweepjournal.append" fault point: ShortIo publishes a torn record (the
-  // crash-mid-write wire — recovery must drop it on the next open), Errno
-  // models a full disk (the append fails loudly; crash safety that silently
-  // stopped journaling would be a lie).
+  // crash-mid-write wire — recovery must drop it on the next open, and it
+  // is not served in-process either), Errno models a full disk (the append
+  // fails loudly; crash safety that silently stopped journaling would be a
+  // lie).
+  bool torn = false;
   if (util::fault::enabled()) {
     const util::fault::Action a = util::fault::at("sweepjournal.append");
     if (a.kind == util::fault::Kind::Errno)
       throw SweepJournalError("sweepjournal: append to " + path_ +
                                " failed (injected)");
-    if (a.kind == util::fault::Kind::ShortIo)
-      record.resize(std::min(record.size(), a.bytes));
+    if (a.kind == util::fault::Kind::ShortIo && a.bytes < record.size()) {
+      record.resize(a.bytes);
+      torn = true;
+    }
   }
 
   std::lock_guard<std::mutex> lock(mu_);
-  out_.write(record.data(), static_cast<std::streamsize>(record.size()));
-  out_.flush();
-  if (!out_.good())
+  const std::uint64_t at = end_;
+  if (!write_all(fd_, record)) {
+    // Part of the record may have landed: the next record starts wherever
+    // the file now ends.
+    const off_t size = ::lseek(fd_, 0, SEEK_END);
+    if (size >= 0) end_ = static_cast<std::uint64_t>(size);
     throw SweepJournalError("sweepjournal: append to " + path_ + " failed");
-  if (std::strcmp(magic, kPointMagic) == 0)
-    entries_[key] = value;
-  else if (std::strcmp(magic, kMembershipMagic) == 0)
+  }
+  end_ += record.size();
+  if (std::strcmp(magic, kPointMagic) == 0) {
+    if (!torn) index_point(key, at + header_len, value.size());
+  } else if (std::strcmp(magic, kMembershipMagic) == 0) {
     membership_.emplace_back(key, value);
+  }
 }
 
 std::optional<std::string> SweepJournal::find(const std::string& key) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) return std::nullopt;
-  return it->second;
+  std::vector<Slot> slots;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto [lo, hi] = index_.equal_range(key_hash(key));
+    for (auto it = lo; it != hi; ++it)
+      if (it->second.key_len == key.size()) slots.push_back(it->second);
+  }
+  // Later duplicates win: try the newest record first. The reads need no
+  // lock, since an indexed record is fully written and never rewritten.
+  std::sort(slots.begin(), slots.end(),
+            [](const Slot& a, const Slot& b) { return a.at > b.at; });
+  std::string record;
+  for (const Slot& s : slots) {
+    record.resize(std::size_t{s.key_len} + s.value_len);
+    if (read_at(fd_, s.at, record) &&
+        record.compare(0, key.size(), key) == 0)
+      return record.substr(key.size());
+  }
+  return std::nullopt;
 }
 
 std::unordered_map<std::string, std::string> SweepJournal::entries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return entries_;
+  std::vector<Slot> slots;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const auto& [hash, slot] : index_) slots.push_back(slot);
+  }
+  // Append order, so later duplicates overwrite earlier ones.
+  std::sort(slots.begin(), slots.end(),
+            [](const Slot& a, const Slot& b) { return a.at < b.at; });
+  std::unordered_map<std::string, std::string> out;
+  std::string record;
+  for (const Slot& s : slots) {
+    record.resize(std::size_t{s.key_len} + s.value_len);
+    if (read_at(fd_, s.at, record))
+      out[record.substr(0, s.key_len)] = record.substr(s.key_len);
+  }
+  return out;
 }
 
 void SweepJournal::append(const std::string& key, const std::string& value) {

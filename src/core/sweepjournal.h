@@ -41,6 +41,15 @@
 // "sweepjournal.append" fault point (util/faultinject.h) lets chaos tests
 // tear a record deterministically.
 //
+// Memory: the journal does not keep its point records in memory. Each
+// point costs one in-memory index entry (about 40 bytes: the key's
+// std::hash, the record's file offset, and its key and value lengths),
+// whatever the size of its key — a design-point key embeds the whole model
+// text, kilobytes per point. A lookup reads each candidate record back from
+// the file with pread(2) and compares the full key, so a hash collision or
+// a record changed on disk since it was indexed is a miss, never a wrong
+// answer. Membership events stay in memory; there are few of them.
+//
 // Single-writer fence: a journal directory has exactly one writer at a
 // time, enforced with an exclusive flock(2) on `<dir>/sweep.lock` held for
 // the journal's lifetime. Opening a directory whose lock another *live*
@@ -54,11 +63,12 @@
 #pragma once
 
 #include <cstddef>
-#include <fstream>
+#include <cstdint>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -111,15 +121,17 @@ class SweepJournal {
   SweepJournal& operator=(const SweepJournal&) = delete;
 
   /// The journaled metrics JSON of one completed point, recovered at open
-  /// or appended since; nullopt when `key` has no record. Thread-safe
-  /// against concurrent appends (a served journal is shared by every
-  /// concurrent sweep).
+  /// or appended since; nullopt when `key` has no record. Later duplicate
+  /// records win. The record is read back from the file and its full key
+  /// compared, so a record torn by an injected short write, or whose key no
+  /// longer reads back intact, is a miss. Thread-safe against concurrent
+  /// appends (a served journal is shared by every concurrent sweep).
   std::optional<std::string> find(const std::string& key) const;
 
   /// A snapshot of every completed point, recovered at open or appended
   /// since (key -> metrics JSON); later duplicate records win, matching
-  /// append order. A copy taken under the lock — for tests and tools, not
-  /// per-point lookups (use find()).
+  /// append order. Reads every indexed record back from the file — for
+  /// tests and tools, not per-point lookups (use find()).
   std::unordered_map<std::string, std::string> entries() const;
 
   /// Membership events recovered at open, in append order. The coordinator
@@ -156,11 +168,25 @@ class SweepJournal {
   void append_record(const char* magic, const std::string& key,
                      const std::string& value);
 
+  /// Where one completed point's record lies in the file.
+  struct Slot {
+    std::uint64_t at = 0;  ///< Offset of the record's key bytes.
+    std::uint32_t key_len = 0;
+    std::uint32_t value_len = 0;
+  };
+
+  /// Index a point whose key and value bytes start at `at` (caller holds
+  /// mu_ or is the constructor).
+  void index_point(std::string_view key, std::uint64_t at,
+                   std::size_t value_len);
+
   std::string path_;
   int lock_fd_ = -1;  ///< Exclusive flock on lock_path(); held until ~.
+  int fd_ = -1;       ///< O_APPEND for appends, pread for lookups.
   mutable std::mutex mu_;
-  std::ofstream out_;  ///< Append-positioned after recovery; guarded by mu_.
-  std::unordered_map<std::string, std::string> entries_;  ///< Guarded by mu_.
+  std::uint64_t end_ = 0;  ///< File size: the next record's offset; mu_.
+  /// std::hash of each point's key -> its record; guarded by mu_.
+  std::unordered_multimap<std::size_t, Slot> index_;
   std::vector<MembershipEvent> membership_;
   Recovery recovery_;
 };

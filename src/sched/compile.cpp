@@ -1,6 +1,5 @@
 #include "sched/compile.h"
 
-#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 
@@ -96,9 +95,8 @@ Program compile_from_result(const nn::Model& model,
                             const sim::NetworkResult& result) {
   const ResidencyPlan plan = plan_residency(model, config);
 
-  std::vector<int> fused_pools;
-  if (options.fuse_pool_drain)
-    for (const Fusion& f : find_pool_fusions(model)) fused_pools.push_back(f.pool_idx);
+  const std::vector<Fusion> fusions =
+      options.fuse_pool_drain ? find_pool_fusions(model) : std::vector<Fusion>{};
 
   Program prog;
   prog.model_name = model.name();
@@ -112,10 +110,8 @@ Program compile_from_result(const nn::Model& model,
     cmd.layer_name = l.layer_name;
     cmd.expected_cycles = l.total_cycles;
 
-    const bool is_fused_pool =
-        std::find(fused_pools.begin(), fused_pools.end(), l.layer_idx) !=
-        fused_pools.end();
-    if (is_fused_pool) {
+    const Fusion* fusion = fusion_of(fusions, l.layer_idx);
+    if (fusion && fusion->pool_idx == l.layer_idx) {
       cmd.unit = LayerCommand::Unit::FusedIntoProducer;
       prog.commands.push_back(std::move(cmd));
       continue;
@@ -130,7 +126,8 @@ Program compile_from_result(const nn::Model& model,
       cmd.unit = LayerCommand::Unit::Simd;
     }
 
-    const sim::TensorPlacement placement = plan.placement_for(model, l.layer_idx);
+    const sim::TensorPlacement placement =
+        fused_placement(model, plan, fusions, l.layer_idx);
     cmd.input_from_dram = !placement.input_in_gb;
     cmd.output_to_dram = !placement.output_in_gb;
 

@@ -27,4 +27,23 @@ std::vector<Fusion> find_pool_fusions(const nn::Model& model) {
   return fusions;
 }
 
+const Fusion* fusion_of(const std::vector<Fusion>& fusions, int layer_idx) {
+  for (const Fusion& f : fusions)
+    if (f.conv_idx == layer_idx || f.pool_idx == layer_idx) return &f;
+  return nullptr;
+}
+
+sim::TensorPlacement fused_placement(const nn::Model& model,
+                                     const ResidencyPlan& plan,
+                                     const std::vector<Fusion>& fusions,
+                                     int layer_idx) {
+  sim::TensorPlacement placement = plan.placement_for(model, layer_idx);
+  const Fusion* f = fusion_of(fusions, layer_idx);
+  if (f && f->conv_idx == layer_idx) {
+    placement.output_in_gb = plan.kept.at(static_cast<std::size_t>(f->pool_idx));
+    placement.output_words_override = model.layer(f->pool_idx).out_shape.elems();
+  }
+  return placement;
+}
+
 }  // namespace sqz::sched

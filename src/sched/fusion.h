@@ -13,6 +13,8 @@
 #include <vector>
 
 #include "nn/model.h"
+#include "sched/residency.h"
+#include "sim/layer_sim.h"
 
 namespace sqz::sched {
 
@@ -25,5 +27,20 @@ struct Fusion {
 /// immediately follows it. (ReLU is already fused into the conv's requant
 /// step and needs no scheduling support.)
 std::vector<Fusion> find_pool_fusions(const nn::Model& model);
+
+/// The fusion layer `layer_idx` takes part in, as conv or pool; null when
+/// it takes part in none.
+const Fusion* fusion_of(const std::vector<Fusion>& fusions, int layer_idx);
+
+/// Layer `layer_idx`'s tensor placement under `fusions` (empty when fusion
+/// is off): a fused conv stores the pooled tensor, at the pool's output
+/// size and under the pool's keep decision; every other layer keeps the
+/// residency plan's placement. The simulator and the plan compiler both
+/// place layers through it, so a program's DMA moves the tensors the
+/// simulator timed.
+sim::TensorPlacement fused_placement(const nn::Model& model,
+                                     const ResidencyPlan& plan,
+                                     const std::vector<Fusion>& fusions,
+                                     int layer_idx);
 
 }  // namespace sqz::sched

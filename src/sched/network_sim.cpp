@@ -1,6 +1,5 @@
 #include "sched/network_sim.h"
 
-#include <map>
 #include <stdexcept>
 
 #include "sched/fusion.h"
@@ -35,14 +34,8 @@ sim::NetworkResult simulate_network_impl(
 
   // Pool-drain fusion: re-simulate each fused conv with the pool's output as
   // its stored tensor, and zero out the pool (it runs inside the drain).
-  std::map<int, int> fused_conv_to_pool;   // conv idx -> pool idx
-  std::map<int, int> fused_pool_to_conv;
-  if (options.fuse_pool_drain) {
-    for (const Fusion& f : find_pool_fusions(model)) {
-      fused_conv_to_pool[f.conv_idx] = f.pool_idx;
-      fused_pool_to_conv[f.pool_idx] = f.conv_idx;
-    }
-  }
+  const std::vector<Fusion> fusions =
+      options.fuse_pool_drain ? find_pool_fusions(model) : std::vector<Fusion>{};
 
   sim::NetworkResult result;
   result.model_name = model.name();
@@ -50,20 +43,16 @@ sim::NetworkResult simulate_network_impl(
   result.layers.reserve(choices.size());
   for (LayerChoice& c : choices) {
     sim::LayerResult layer = std::move(c.chosen);
-    sim::TensorPlacement placement = plan.placement_for(model, c.layer_idx);
+    const sim::TensorPlacement placement =
+        fused_placement(model, plan, fusions, c.layer_idx);
 
-    if (const auto conv_it = fused_conv_to_pool.find(c.layer_idx);
-        conv_it != fused_conv_to_pool.end()) {
-      // The conv's stored output is the pooled tensor; its residency follows
-      // the pool's keep decision.
-      const int pool_idx = conv_it->second;
-      placement.output_in_gb = plan.kept.at(static_cast<std::size_t>(pool_idx));
-      placement.output_words_override =
-          model.layer(pool_idx).out_shape.elems();
+    if (const Fusion* f = fusion_of(fusions, c.layer_idx);
+        f && f->conv_idx == c.layer_idx) {
+      // The conv's stored output is the pooled tensor (fused_placement).
       layer = sim::simulate_layer(model, c.layer_idx, config, layer.dataflow,
                                   placement);
       layer.layer_name += "+pool";
-    } else if (fused_pool_to_conv.count(c.layer_idx) > 0) {
+    } else if (f) {
       // The pool itself runs in the conv's drain path: keep the entry for
       // bookkeeping, but it costs nothing.
       sim::LayerResult fused;

@@ -261,7 +261,11 @@ const char* plan_error_code_name(PlanErrorCode code) noexcept {
 }
 
 std::uint64_t model_identity_hash(const nn::Model& model) {
-  return util::fnv1a64(nn::serialize_model(model));
+  return model_identity_hash(nn::serialize_model(model));
+}
+
+std::uint64_t model_identity_hash(const std::string& model_text) {
+  return util::fnv1a64(model_text);
 }
 
 bool plan_options_equal(const SimulationOptions& a,
@@ -286,8 +290,17 @@ PlanArtifact plan_from_result(const nn::Model& model,
                               const sim::AcceleratorConfig& config,
                               const SimulationOptions& options,
                               const sim::NetworkResult& result) {
+  return plan_from_result(model, nn::serialize_model(model), config, options,
+                          result);
+}
+
+PlanArtifact plan_from_result(const nn::Model& model,
+                              const std::string& model_text,
+                              const sim::AcceleratorConfig& config,
+                              const SimulationOptions& options,
+                              const sim::NetworkResult& result) {
   PlanArtifact artifact;
-  artifact.model_hash = model_identity_hash(model);
+  artifact.model_hash = model_identity_hash(model_text);
   artifact.options = options;
   artifact.program = compile_from_result(model, config, options, result);
   return artifact;

@@ -109,6 +109,8 @@ struct PlanArtifact {
 
 /// Canonical model identity: fnv1a64 of the serialized model text.
 std::uint64_t model_identity_hash(const nn::Model& model);
+/// The same identity from text already serialized (nn::serialize_model).
+std::uint64_t model_identity_hash(const std::string& model_text);
 
 /// Compile `model` and wrap the program in an artifact.
 PlanArtifact compile_plan(const nn::Model& model,
@@ -118,6 +120,13 @@ PlanArtifact compile_plan(const nn::Model& model,
 /// Wrap an already-computed simulation (the serving cold path: one
 /// simulate_network call yields both the response and the artifact).
 PlanArtifact plan_from_result(const nn::Model& model,
+                              const sim::AcceleratorConfig& config,
+                              const SimulationOptions& options,
+                              const sim::NetworkResult& result);
+/// Same, with `model`'s serialized text already in hand (a served request
+/// serializes its model once).
+PlanArtifact plan_from_result(const nn::Model& model,
+                              const std::string& model_text,
                               const sim::AcceleratorConfig& config,
                               const SimulationOptions& options,
                               const sim::NetworkResult& result);

@@ -49,18 +49,25 @@ void reject_unknown_members(const JsonValue& obj,
   }
 }
 
-nn::Model parse_model_field(const JsonValue& doc, std::string& label) {
+// The model and its canonical text (SimulateRequest::model_text): an
+// inline model is serialized back once here, a zoo name's text is memoized.
+nn::Model parse_model_field(const JsonValue& doc, std::string& label,
+                            std::string& model_text) {
   const JsonValue* name = member(doc, "model");
   const JsonValue* text = member(doc, "model_text");
   if (name && text) bad_request("give either 'model' or 'model_text', not both");
   try {
     if (text) {
       label = "custom";
-      return nn::parse_model(text->as_string());
+      nn::Model model = nn::parse_model(text->as_string());
+      model_text = nn::serialize_model(model);
+      return model;
     }
     if (name) {
       label = name->as_string();
-      return core::zoo_model_by_name(label);
+      nn::Model model = core::zoo_model_by_name(label);
+      model_text = core::zoo_model_text(label);
+      return model;
     }
   } catch (const ApiError&) {
     throw;
@@ -142,9 +149,9 @@ sched::SimulationOptions parse_options_field(const JsonValue& doc) {
 // nn::Model has no default constructor, so requests are assembled through
 // aggregate initialization once every part has parsed.
 SimulateRequest parse_simulate_fields(const JsonValue& doc) {
-  std::string label;
-  nn::Model model = parse_model_field(doc, label);
-  return SimulateRequest{std::move(model), std::move(label),
+  std::string label, text;
+  nn::Model model = parse_model_field(doc, label, text);
+  return SimulateRequest{std::move(model), std::move(text), std::move(label),
                          parse_config_field(doc), parse_options_field(doc)};
 }
 
@@ -264,7 +271,7 @@ std::string canonical_key(const SimulateRequest& req) {
   util::JsonWriter w(key, /*indent=*/0);
   w.begin_object();
   w.member("op", "simulate");
-  w.member("model", nn::serialize_model(req.model));
+  w.member("model", req.model_text);
   w.member("config", core::config_to_ini(req.config));
   options_to_canonical_json(req.options, w);
   w.end_object();
@@ -279,7 +286,7 @@ std::string canonical_key(const SweepRequest& req) {
   // The sweep label is embedded in the response's "sweep" name, so two
   // spellings of the same network must not share response bytes.
   w.member("label", req.base.model_label);
-  w.member("model", nn::serialize_model(req.base.model));
+  w.member("model", req.base.model_text);
   w.member("config", core::config_to_ini(req.base.config));
   options_to_canonical_json(req.base.options, w);
   w.member("knob", req.knob);
@@ -297,8 +304,8 @@ std::string run_simulate(const SimulateRequest& req,
     const sim::NetworkResult result =
         sched::simulate_network(req.model, req.config, req.options);
     if (compiled_plan)
-      *compiled_plan =
-          sched::plan_from_result(req.model, req.config, req.options, result);
+      *compiled_plan = sched::plan_from_result(req.model, req.model_text,
+                                               req.config, req.options, result);
     return core::json_report_string(req.model, result, req.options.units);
   } catch (const std::exception& e) {
     bad_request(e.what());
@@ -322,8 +329,8 @@ std::string run_sweep(const SweepRequest& req, core::SweepJournal* journal,
   try {
     core::SweepOptions options{req.base.options};
     options.journal = journal;
-    outcome = core::evaluate_designs_checked(req.base.model,
-                                             sweep_configs(req), options);
+    outcome = core::evaluate_designs_checked(
+        req.base.model, req.base.model_text, sweep_configs(req), options);
   } catch (const ApiError&) {
     throw;
   } catch (const std::exception& e) {
@@ -369,7 +376,7 @@ SimService::Result SimService::simulate(const std::string& request_body) {
     if (auto hit = cache_->get(key)) return {*hit, true, false, {}};
   }
   Result r;
-  const std::uint64_t model_hash = sched::model_identity_hash(req.model);
+  const std::uint64_t model_hash = sched::model_identity_hash(req.model_text);
   if (auto plan = plans_->get(key, model_hash, req.config, req.options)) {
     try {
       r.body = run_simulate_with_plan(req, plan->program);

@@ -70,6 +70,10 @@ class ApiError : public std::runtime_error {
 /// A validated /v1/simulate request.
 struct SimulateRequest {
   nn::Model model;
+  /// nn::serialize_model(model), made once per request (memoized for zoo
+  /// names, core::zoo_model_text): the text the cache keys, the plan
+  /// identity, the design-point keys and the coordinator's chunks carry.
+  std::string model_text;
   std::string model_label;  ///< Verbatim "model" field, or "custom".
   sim::AcceleratorConfig config;
   sched::SimulationOptions options;

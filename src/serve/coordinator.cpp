@@ -13,10 +13,8 @@
 #include "core/config_io.h"
 #include "core/dse.h"
 #include "core/sweepjournal.h"
-#include "nn/serialize.h"
 #include "serve/metrics.h"
 #include "util/faultinject.h"
-#include "util/hash.h"
 #include "util/json.h"
 #include "util/json_parse.h"
 #include "util/logging.h"
@@ -269,7 +267,7 @@ std::string Coordinator::run_sweep(const SweepRequest& req,
                                    core::SweepJournal* journal,
                                    SweepRunStats* stats) {
   const core::SweepConfigs configs = sweep_configs(req);
-  const std::string model_text = nn::serialize_model(req.base.model);
+  const std::string& model_text = req.base.model_text;
   const std::string config_ini = core::config_to_ini(req.base.config);
 
   // The ledger keys every point — the journal key and, hashed, the ring
@@ -285,7 +283,7 @@ std::string Coordinator::run_sweep(const SweepRequest& req,
     std::map<int, std::vector<std::size_t>> by_worker;
     for (std::size_t i = 0; i < ledger.size(); ++i)
       if (ledger.pending(i))
-        by_worker[pool_.route(util::fnv1a64(ledger.key(i)))].push_back(i);
+        by_worker[pool_.route(ledger.key_hash(i))].push_back(i);
     const std::size_t chunk_points =
         static_cast<std::size_t>(std::max(1, options_.chunk_points));
     for (const auto& [w, idxs] : by_worker) {
@@ -297,7 +295,7 @@ std::string Coordinator::run_sweep(const SweepRequest& req,
                      idxs.begin() + static_cast<std::ptrdiff_t>(end));
         for (const std::size_t i : c.idx) c.labels.push_back(configs[i].first);
         c.body = chunk_request_body(req, model_text, config_ini, c.idx);
-        c.hash = util::fnv1a64(ledger.key(c.idx.front()));
+        c.hash = ledger.key_hash(c.idx.front());
         run.queue.emplace_back(run.chunks.size(), false);
         run.chunks.push_back(std::move(c));
       }

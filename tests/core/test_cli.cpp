@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 
 #include "energy/model.h"
 #include "nn/serialize.h"
@@ -27,6 +28,16 @@ CliRun run(std::vector<std::string> args) {
   std::ostringstream out, err;
   const int code = run_cli(args, out, err);
   return {code, out.str(), err.str()};
+}
+
+TEST(Cli, ZooModelTextIsTheSerializedZooModelMemoized) {
+  for (const char* name : {"alexnet", "mobilenet", "tinydarknet", "squeezenet10",
+                           "squeezenet11", "sqnxt", "sqnxt23"}) {
+    EXPECT_EQ(zoo_model_text(name), nn::serialize_model(zoo_model_by_name(name)))
+        << name;
+    EXPECT_EQ(&zoo_model_text(name), &zoo_model_text(name)) << name;
+  }
+  EXPECT_THROW(zoo_model_text("resnet"), std::invalid_argument);
 }
 
 TEST(Cli, HelpPrintsUsage) {

@@ -5,7 +5,9 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "nn/serialize.h"
 #include "nn/zoo/zoo.h"
+#include "util/hash.h"
 #include "util/json_parse.h"
 
 namespace sqz::core {
@@ -207,6 +209,26 @@ TEST(Dse, DesignPointKeyCarriesFidelityOnlyOffTheFlatDefaults) {
                          "\"tile_search\":true,\"fuse\":false}}"),
             std::string::npos)
       << keys[3];
+}
+
+TEST(Dse, LedgerHashesEachKeyOnceForRoutingAndShortKeys) {
+  const std::string text = nn::serialize_model(nn::zoo::squeezenet_v11());
+  const SweepConfigs configs = sweep_knob(
+      sim::AcceleratorConfig::squeezelerator(), "rf_entries", {8, 16});
+  SweepLedger ledger(text, configs, sched::SimulationOptions{}, nullptr);
+  ASSERT_EQ(ledger.size(), 2u);
+  for (std::size_t i = 0; i < ledger.size(); ++i)
+    EXPECT_EQ(ledger.key_hash(i), util::fnv1a64(ledger.key(i)));
+
+  // A failed point's short key is the same 16 hex either way it is made.
+  const std::string key = ledger.key(1);
+  EXPECT_EQ(design_point_short_key(ledger.key_hash(1)),
+            design_point_short_key(key));
+  ledger.fail(1, "dispatch", "no worker");
+  const SweepOutcome out = ledger.take_outcome();
+  ASSERT_EQ(out.errors.size(), 1u);
+  EXPECT_EQ(out.errors[0].key, design_point_short_key(key));
+  EXPECT_EQ(out.errors[0].key.size(), 16u);
 }
 
 }  // namespace

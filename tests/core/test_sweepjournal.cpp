@@ -91,6 +91,75 @@ TEST(SweepJournal, LaterDuplicateKeyWins) {
   EXPECT_EQ(j.entries().at("point"), "new");
 }
 
+TEST(SweepJournal, LaterDuplicateKeyWinsThroughFind) {
+  const std::string dir = fresh_dir("dup_find");
+  {
+    SweepJournal j(dir);
+    j.append("point", "old");
+    j.append("other", "x");
+    j.append("point", "new");
+    EXPECT_EQ(j.find("point").value_or(""), "new");
+  }
+  SweepJournal j(dir);
+  EXPECT_EQ(j.recovery().records, 3u);
+  EXPECT_EQ(j.find("point").value_or(""), "new");
+  EXPECT_EQ(j.find("other").value_or(""), "x");
+}
+
+TEST(SweepJournal, FindComparesTheFullKeyReadBackFromDisk) {
+  // Memory holds only a hash and an offset per point: a hit must read the
+  // record back and compare every key byte. Rot one byte of a committed
+  // key under the open journal and the lookup has to miss.
+  const std::string dir = fresh_dir("keyrot");
+  SweepJournal j(dir);
+  j.append("point-a", "{\"cycles\":1}");
+  j.append("point-b", "{\"cycles\":2}");
+  ASSERT_EQ(j.find("point-a").value_or(""), "{\"cycles\":1}");
+
+  const std::string path = SweepJournal::journal_path(dir);
+  const std::size_t at = read_file(path).find("point-a");
+  ASSERT_NE(at, std::string::npos);
+  {
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(static_cast<std::streamoff>(at + 6));
+    f.put('z');  // "point-a" -> "point-z"
+  }
+  EXPECT_FALSE(j.find("point-a").has_value());
+  EXPECT_FALSE(j.find("point-z").has_value());  // indexed under "point-a"
+  EXPECT_EQ(j.find("point-b").value_or(""), "{\"cycles\":2}");
+  EXPECT_EQ(j.entries().count("point-a"), 0u);
+}
+
+TEST(SweepJournal, ThousandsOfKilobyteKeysResumeExactly) {
+  // Design-point keys embed the model text, kilobytes each. Every one of
+  // them must resume from the file alone.
+  const std::string dir = fresh_dir("bigkeys");
+  constexpr int kKeys = 2000;
+  const auto key_of = [](int i) {
+    std::string key(4096, 'm');
+    const std::string tag = std::to_string(i);
+    key.replace(key.size() / 2, tag.size(), tag);  // differ mid-key
+    return key;
+  };
+  {
+    SweepJournal j(dir);
+    for (int i = 0; i < kKeys; ++i)
+      j.append(key_of(i), "{\"cycles\":" + std::to_string(i) + "}");
+  }
+  {
+    SweepJournal j(dir);
+    EXPECT_FALSE(j.recovery().torn);
+    EXPECT_EQ(j.recovery().records, static_cast<std::size_t>(kKeys));
+    for (int i = 0; i < kKeys; ++i)
+      ASSERT_EQ(j.find(key_of(i)).value_or(""),
+                "{\"cycles\":" + std::to_string(i) + "}")
+          << i;
+    EXPECT_FALSE(j.find(key_of(kKeys)).has_value());
+    EXPECT_EQ(j.entries().size(), static_cast<std::size_t>(kKeys));
+  }
+  fs::remove_all(dir);  // 8 MB of journal
+}
+
 TEST(SweepJournal, BinaryKeysAndValuesSurvive) {
   const std::string dir = fresh_dir("binary");
   const std::string key("k\0\n ey", 6);
@@ -199,6 +268,23 @@ TEST(SweepJournal, InjectedShortWritePublishesRecoverableTornRecord) {
   EXPECT_EQ(j.recovery().records, 1u);
   EXPECT_EQ(j.entries().count("good"), 1u);
   EXPECT_EQ(j.entries().count("torn"), 0u);
+}
+
+TEST(SweepJournal, InjectedShortWriteIsAMissInProcessToo) {
+  // The torn record is not on disk in full, so it is not served before a
+  // reopen either: the point re-simulates, as it would after a restart.
+  const std::string dir = fresh_dir("shortio_live");
+  SweepJournal j(dir);
+  j.append("good", "1");
+  util::fault::arm("sweepjournal.append", util::fault::make_short(10), 1);
+  j.append("torn", "2");
+  util::fault::reset();
+  EXPECT_FALSE(j.find("torn").has_value());
+  EXPECT_EQ(j.entries().count("torn"), 0u);
+  EXPECT_EQ(j.find("good").value_or(""), "1");
+  // Appends after the torn bytes are still located correctly in-process.
+  j.append("after", "3");
+  EXPECT_EQ(j.find("after").value_or(""), "3");
 }
 
 TEST(SweepJournal, InjectedAppendFailureThrowsLoudly) {

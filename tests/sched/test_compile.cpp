@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "nn/zoo/zoo.h"
+#include "sched/fusion.h"
 #include "sched/residency.h"
 #include "sim/tiling.h"
 
@@ -73,6 +74,34 @@ TEST(Compile, FusedPoolsMarked) {
     return false;
   };
   EXPECT_TRUE(is_fused("pool1"));
+}
+
+TEST(Compile, FusedConvMovesThePooledTensor) {
+  // A pool-fused conv stores the pooled tensor under the pool's keep
+  // decision — the placement the simulator timed it with. The program's
+  // DMA must describe that tensor, not the unpooled conv output.
+  const nn::Model m = nn::zoo::squeezenet_v10();
+  const ResidencyPlan plan = plan_residency(m, kCfg);
+  for (const bool timeline : {false, true}) {
+    SimulationOptions opt;
+    opt.fuse_pool_drain = true;
+    opt.tile_timeline = timeline;
+    const Program p = compile(m, kCfg, opt);
+    int checked = 0;
+    for (const Fusion& f : find_pool_fusions(m)) {
+      const LayerCommand& conv = p.commands.at(
+          static_cast<std::size_t>(f.conv_idx - 1));
+      ASSERT_EQ(conv.layer_idx, f.conv_idx);
+      const bool pool_kept = plan.kept.at(static_cast<std::size_t>(f.pool_idx));
+      EXPECT_EQ(conv.output_to_dram, !pool_kept) << conv.layer_name;
+      if (conv.output_to_dram) {
+        EXPECT_EQ(conv.dma_out_words, m.layer(f.pool_idx).out_shape.elems())
+            << conv.layer_name << (timeline ? " (timeline)" : "");
+        ++checked;
+      }
+    }
+    EXPECT_GT(checked, 0);  // conv1+pool spills on the Squeezelerator
+  }
 }
 
 TEST(Compile, WeightWordsMatchModel) {

@@ -13,6 +13,7 @@
 #include "nn/serialize.h"
 #include "nn/zoo/zoo.h"
 #include "sched/network_sim.h"
+#include "sched/plan_io.h"
 #include "util/json_parse.h"
 
 namespace sqz::serve {
@@ -118,6 +119,46 @@ TEST(Api, CanonicalKeyCollapsesModelSpellings) {
   const auto by_text =
       parse_simulate_request("{\"model_text\":\"" + escaped + "\"}");
   EXPECT_EQ(canonical_key(by_name), canonical_key(by_text));
+}
+
+TEST(Api, RequestsCarryTheCanonicalModelText) {
+  for (const char* name : {"alexnet", "mobilenet", "tinydarknet", "squeezenet10",
+                           "squeezenet11", "sqnxt23"}) {
+    const std::string text =
+        nn::serialize_model(core::zoo_model_by_name(name));
+    EXPECT_EQ(parse_simulate_request(std::string("{\"model\":\"") + name +
+                                     "\"}")
+                  .model_text,
+              text)
+        << name;
+    EXPECT_EQ(parse_sweep_request(std::string("{\"model\":\"") + name +
+                                  "\",\"sweep\":{\"knob\":\"rf_entries\","
+                                  "\"values\":[8]}}")
+                  .base.model_text,
+              text)
+        << name;
+  }
+  // An inline model carries its canonical re-serialization, not the bytes
+  // the client sent.
+  const auto inline_req = parse_simulate_request(
+      R"({"model_text":"model TinyNet input 3x32x32\nconv   name=c1 out=16 kernel=3x3 stride=1\n"})");
+  EXPECT_EQ(inline_req.model_text, nn::serialize_model(inline_req.model));
+}
+
+TEST(Api, PlanIdentityFromTheRequestTextIsUnchanged) {
+  for (const bool fuse : {false, true}) {
+    const auto req = parse_simulate_request(
+        std::string(R"({"model":"squeezenet10","options":{"fuse":)") +
+        (fuse ? "true" : "false") + "}}");
+    EXPECT_EQ(sched::model_identity_hash(req.model_text),
+              sched::model_identity_hash(req.model));
+    sched::PlanArtifact served;
+    run_simulate(req, &served);
+    const sched::PlanArtifact reference = sched::plan_from_result(
+        req.model, req.config, req.options,
+        sched::simulate_network(req.model, req.config, req.options));
+    EXPECT_EQ(sched::serialize_plan(served), sched::serialize_plan(reference));
+  }
 }
 
 TEST(Api, CanonicalKeyCollapsesConfigSpellings) {
