@@ -15,6 +15,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
+#include <vector>
 
 #include "util/faultinject.h"
 #include "util/hash.h"
@@ -27,14 +28,14 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr char kPointMagic[] = "sqzw1";
+/// Fleet-membership events written by earlier builds: known, and ignored.
 constexpr char kMembershipMagic[] = "sqzm1";
 constexpr std::size_t kMagicLen = 5;  ///< "sqz" + two type characters.
 constexpr std::size_t kMaxHeader = 96;
 
-std::string render_record(const char* magic, const std::string& key,
-                          const std::string& value) {
+std::string render_record(const std::string& key, const std::string& value) {
   char header[kMaxHeader];
-  std::snprintf(header, sizeof(header), "%s %zu %zu %016llx\n", magic,
+  std::snprintf(header, sizeof(header), "%s %zu %zu %016llx\n", kPointMagic,
                 key.size(), value.size(),
                 static_cast<unsigned long long>(
                     util::fnv1a64(key + value)));
@@ -189,8 +190,6 @@ void SweepJournal::open_and_recover() {
       index_point(key, f.payload_at, f.value_len);
       ++recovery_.records;
     } else if (std::strcmp(f.magic, kMembershipMagic) == 0) {
-      membership_.emplace_back(key, raw.substr(f.payload_at + f.key_len,
-                                               f.value_len));
       ++recovery_.records;
     } else {
       // A record type this build does not know, behind a valid checksum: a
@@ -233,9 +232,8 @@ void SweepJournal::index_point(std::string_view key, std::uint64_t at,
                       static_cast<std::uint32_t>(value_len)});
 }
 
-void SweepJournal::append_record(const char* magic, const std::string& key,
-                                 const std::string& value) {
-  std::string record = render_record(magic, key, value);
+void SweepJournal::append(const std::string& key, const std::string& value) {
+  std::string record = render_record(key, value);
   const std::size_t header_len = record.size() - key.size() - value.size();
 
   // "sweepjournal.append" fault point: ShortIo publishes a torn record (the
@@ -265,11 +263,7 @@ void SweepJournal::append_record(const char* magic, const std::string& key,
     throw SweepJournalError("sweepjournal: append to " + path_ + " failed");
   }
   end_ += record.size();
-  if (std::strcmp(magic, kPointMagic) == 0) {
-    if (!torn) index_point(key, at + header_len, value.size());
-  } else if (std::strcmp(magic, kMembershipMagic) == 0) {
-    membership_.emplace_back(key, value);
-  }
+  if (!torn) index_point(key, at + header_len, value.size());
 }
 
 std::optional<std::string> SweepJournal::find(const std::string& key) const {
@@ -311,15 +305,6 @@ std::unordered_map<std::string, std::string> SweepJournal::entries() const {
       out[record.substr(0, s.key_len)] = record.substr(s.key_len);
   }
   return out;
-}
-
-void SweepJournal::append(const std::string& key, const std::string& value) {
-  append_record(kPointMagic, key, value);
-}
-
-void SweepJournal::append_membership(const std::string& key,
-                                     const std::string& value) {
-  append_record(kMembershipMagic, key, value);
 }
 
 }  // namespace sqz::core

@@ -17,12 +17,13 @@
 //          point's metrics as compact JSON whose numbers round-trip
 //          bit-exactly (util/json.h), so a resumed sweep reproduces the
 //          uninterrupted dump byte for byte.
-//   sqzm1  fleet-membership event (serve/workerpool.h dynamic membership).
-//          Key = the worker's "host:port"; value = a JSON event record
-//          (register/deregister/expire/takeover with epoch and lease).
-//          Replaying these in order rebuilds the coordinator's lease table,
-//          which is how a standby coordinator recovers the fleet on
-//          takeover (ARCHITECTURE.md "Dynamic membership & coordinator HA").
+//   sqzm1  fleet-membership event, written by earlier builds' coordinators
+//          (key = a worker's "host:port", value = a JSON event record). This
+//          build writes none: fleet membership comes from the workers'
+//          heartbeats (ARCHITECTURE.md "Dynamic membership & coordinator
+//          HA"). Recovery recognizes the type, counts it in
+//          Recovery::records and ignores it, so an older journal opens
+//          without a warning.
 //
 // Forward compatibility: a record whose magic is "sqz??" but of a type this
 // build does not know is *skipped with a warning* — provided its checksum
@@ -48,18 +49,18 @@
 // text, kilobytes per point. A lookup reads each candidate record back from
 // the file with pread(2) and compares the full key, so a hash collision or
 // a record changed on disk since it was indexed is a miss, never a wrong
-// answer. Membership events stay in memory; there are few of them.
+// answer.
 //
 // Single-writer fence: a journal directory has exactly one writer at a
 // time, enforced with an exclusive flock(2) on `<dir>/sweep.lock` held for
 // the journal's lifetime. Opening a directory whose lock another *live*
-// process (or object) holds throws SweepJournalLocked — this is what keeps
-// a partitioned standby coordinator from promoting onto a journal the
-// primary is still appending to (split-brain), since interleaved buffered
-// appends from two writers would corrupt the shared file both sides depend
-// on for recovery. The lock dies with its holder: a SIGKILLed primary
-// releases it automatically, so takeover after a real crash needs no
-// cleanup step.
+// process (or object) holds throws SweepJournalLocked. The lock is the
+// coordinator election: a standby coordinator promotes exactly when its
+// open succeeds, so it never promotes onto a journal a live primary — hung
+// or partitioned — is still appending to, since interleaved appends from
+// two writers would corrupt the shared file both sides recover from. The
+// lock dies with its holder: a SIGKILLed primary releases it automatically,
+// so takeover after a real crash needs no cleanup step.
 #pragma once
 
 #include <cstddef>
@@ -70,8 +71,6 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <utility>
-#include <vector>
 
 namespace sqz::core {
 
@@ -104,15 +103,11 @@ class SweepJournal {
     bool torn = false;              ///< True when a tail was dropped.
   };
 
-  /// One replayed membership event, in append order (key = "host:port",
-  /// value = the event JSON appended by the coordinator).
-  using MembershipEvent = std::pair<std::string, std::string>;
-
   /// Open (creating `dir` if needed) and recover: acquire the directory's
-  /// exclusive writer lock, replay valid records into
-  /// entries()/membership(), truncate any torn tail, and position for
-  /// appends. Throws SweepJournalLocked when another live writer holds the
-  /// lock, SweepJournalError when the directory or file cannot be opened.
+  /// exclusive writer lock, replay valid records into entries(), truncate
+  /// any torn tail, and position for appends. Throws SweepJournalLocked
+  /// when another live writer holds the lock, SweepJournalError when the
+  /// directory or file cannot be opened.
   explicit SweepJournal(const std::string& dir);
 
   ~SweepJournal();  ///< Releases the writer lock.
@@ -134,12 +129,6 @@ class SweepJournal {
   /// tests and tools, not per-point lookups (use find()).
   std::unordered_map<std::string, std::string> entries() const;
 
-  /// Membership events recovered at open, in append order. The coordinator
-  /// replays these to rebuild the lease table on standby takeover.
-  const std::vector<MembershipEvent>& membership() const {
-    return membership_;
-  }
-
   const Recovery& recovery() const { return recovery_; }
 
   /// Append one completed point and flush. Thread-safe (the sweep engine
@@ -147,12 +136,6 @@ class SweepJournal {
   /// SweepJournalError when the write fails — a sweep that was promised
   /// crash safety must not silently lose it.
   void append(const std::string& key, const std::string& value);
-
-  /// Append one membership event (sqzm1 record) and flush. Thread-safe —
-  /// the coordinator journals from registration handlers and the lease
-  /// prober concurrently with point appends. Throws SweepJournalError on a
-  /// failed write, like append().
-  void append_membership(const std::string& key, const std::string& value);
 
   /// The journal file inside `dir`.
   static std::string journal_path(const std::string& dir);
@@ -165,8 +148,6 @@ class SweepJournal {
   /// torn tail, open for append. Split out so a throw can release the lock
   /// (a half-constructed object never runs its destructor).
   void open_and_recover();
-  void append_record(const char* magic, const std::string& key,
-                     const std::string& value);
 
   /// Where one completed point's record lies in the file.
   struct Slot {
@@ -187,7 +168,6 @@ class SweepJournal {
   std::uint64_t end_ = 0;  ///< File size: the next record's offset; mu_.
   /// std::hash of each point's key -> its record; guarded by mu_.
   std::unordered_multimap<std::size_t, Slot> index_;
-  std::vector<MembershipEvent> membership_;
   Recovery recovery_;
 };
 

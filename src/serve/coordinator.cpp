@@ -12,7 +12,6 @@
 
 #include "core/config_io.h"
 #include "core/dse.h"
-#include "core/sweepjournal.h"
 #include "serve/metrics.h"
 #include "util/faultinject.h"
 #include "util/json.h"
@@ -158,48 +157,16 @@ constexpr std::chrono::milliseconds kParkFor{50};
 
 }  // namespace
 
-Coordinator::Coordinator(const CoordinatorOptions& options, Metrics* metrics,
-                         core::SweepJournal* journal)
+Coordinator::Coordinator(const CoordinatorOptions& options, Metrics* metrics)
     : options_(options),
       metrics_(metrics),
-      journal_(journal),
-      pool_(parse_workers(options.workers), options.probe, metrics) {
-  // Lease expirations are detected by the pool's prober thread; hook them
-  // here so each one lands in the journal as an sqzm1 event — the standby's
-  // replay must not resurrect a member the primary already expired.
-  pool_.set_expiry_callback([this](const std::vector<std::string>& expired) {
-    const std::uint64_t epoch = pool_.epoch();
-    for (const std::string& addr : expired)
-      journal_membership(addr, "expire", 0, epoch);
-  });
-}
+      pool_(parse_workers(options.workers), options.probe, metrics) {}
 
 Coordinator::~Coordinator() { stop(); }
 
 void Coordinator::start() { pool_.start(); }
 
 void Coordinator::stop() { pool_.stop(); }
-
-void Coordinator::journal_membership(const std::string& addr,
-                                     const char* event, std::int64_t lease_ms,
-                                     std::uint64_t epoch) {
-  if (!journal_) return;
-  std::string record;
-  util::JsonWriter w(record, /*indent=*/0);
-  w.begin_object();
-  w.member("event", std::string(event));
-  w.member("lease_ms", lease_ms);
-  w.member("epoch", static_cast<std::int64_t>(epoch));
-  w.end_object();
-  try {
-    journal_->append_membership(addr, record);
-  } catch (const core::SweepJournalError& e) {
-    // Not fatal: a lost event costs the standby at most one lease window —
-    // live workers re-register via heartbeat, dead ones expire.
-    SQZ_LOG(Warn) << "coordinator: membership journal append failed: "
-                  << e.what();
-  }
-}
 
 WorkerPool::Registration Coordinator::register_worker(const HostPort& addr,
                                                       std::int64_t lease_ms) {
@@ -212,55 +179,19 @@ WorkerPool::Registration Coordinator::register_worker(const HostPort& addr,
   const WorkerPool::Registration r =
       pool_.register_worker(addr, lease_ms, WorkerPool::now_ms());
   if (metrics_) metrics_->record_coord_register();
-  if (r.newly_added)
-    journal_membership(addr.host + ":" + std::to_string(addr.port),
-                       "register", r.lease_ms, r.epoch);
   return r;
 }
 
 bool Coordinator::deregister_worker(const HostPort& addr) {
-  std::uint64_t epoch = 0;
-  if (!pool_.deregister_worker(addr, WorkerPool::now_ms(), &epoch))
-    return false;
-  journal_membership(addr.host + ":" + std::to_string(addr.port),
-                     "deregister", 0, epoch);
+  if (!pool_.deregister_worker(addr, WorkerPool::now_ms())) return false;
+  // The fence: the departure stopped new routes here; chunks routed before
+  // it are still on their way. Answer once they have been reported, so the
+  // worker closes its listener only after serving them.
+  if (!pool_.await_dispatches(addr, options_.dispatch_timeout_ms))
+    SQZ_LOG(Warn) << "coordinator: " << addr.host << ":" << addr.port
+                  << " deregistered with chunks still outstanding after "
+                  << options_.dispatch_timeout_ms << " ms";
   return true;
-}
-
-void Coordinator::replay_membership(
-    const std::vector<std::pair<std::string, std::string>>& events) {
-  const std::int64_t now = WorkerPool::now_ms();
-  for (const auto& [addr_spec, value] : events) {
-    std::string event;
-    std::int64_t lease_ms = 0;
-    try {
-      const util::JsonValue doc = util::parse_json(value);
-      if (const util::JsonValue* e = member(doc, "event"))
-        event = e->as_string();
-      if (const util::JsonValue* l = member(doc, "lease_ms"))
-        lease_ms = l->as_int();
-    } catch (const std::exception&) {
-      continue;  // foreign/corrupt event: skip, do not fail the takeover
-    }
-    HostPort addr;
-    try {
-      addr = parse_host_port(addr_spec, "journal");
-    } catch (const std::invalid_argument&) {
-      continue;  // e.g. a takeover event keyed on a coordinator address
-    }
-    if (event == "register") {
-      // Fresh lease stamped now: a member that is actually gone fails to
-      // renew and expires one lease window after the takeover.
-      pool_.register_worker(addr, lease_ms, now);
-    } else if (event == "deregister" || event == "expire") {
-      pool_.deregister_worker(addr, now);
-    }
-  }
-}
-
-void Coordinator::record_takeover(const std::string& standby_addr) {
-  journal_membership(standby_addr, "takeover", 0, pool_.epoch());
-  if (metrics_) metrics_->record_coord_takeover();
 }
 
 std::string Coordinator::run_sweep(const SweepRequest& req,
@@ -323,10 +254,10 @@ std::string Coordinator::run_sweep(const SweepRequest& req,
       if (is_steal) c.steal_pending = false;
       return -1;
     }
-    int w = pool_.route(c.hash, c.tried);
+    int w = pool_.acquire(c.hash, c.tried);
     // Every usable worker was already tried: a requeue retreads the ring
     // rather than wasting its remaining budget on an empty exclusion set.
-    if (w < 0 && !is_steal && !c.tried.empty()) w = pool_.route(c.hash);
+    if (w < 0 && !is_steal && !c.tried.empty()) w = pool_.acquire(c.hash);
     if (w >= 0) {
       c.tried.push_back(w);
       if (!is_steal) {

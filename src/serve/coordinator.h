@@ -22,6 +22,10 @@
 //     wins and the loser is discarded by point identity. The
 //     "coord.steal" fault point stalls a primary dispatch to force this
 //     path deterministically;
+//   * a worker that deregisters (graceful drain) leaves the ring at once,
+//     but its deregister is answered only once every chunk already routed
+//     to it has been answered (the deregister fence), so planned
+//     maintenance requeues nothing;
 //   * with a --sweep-journal, every completed point is appended to the
 //     coordinator's own journal as its chunk lands, before the response
 //     reports it, so a coordinator SIGKILL + restart re-dispatches only the
@@ -40,7 +44,6 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "serve/api.h"
@@ -86,11 +89,8 @@ struct CoordinatorOptions {
 class Coordinator {
  public:
   /// Parses and validates the worker list (throws std::invalid_argument on
-  /// a malformed endpoint). `metrics` may be null. `journal` (may be null)
-  /// receives sqzm1 membership events — register/deregister/expire — so a
-  /// standby coordinator can rebuild the fleet on takeover.
-  Coordinator(const CoordinatorOptions& options, Metrics* metrics,
-              core::SweepJournal* journal = nullptr);
+  /// a malformed endpoint). `metrics` may be null.
+  Coordinator(const CoordinatorOptions& options, Metrics* metrics);
   ~Coordinator();  ///< Calls stop().
 
   Coordinator(const Coordinator&) = delete;
@@ -103,29 +103,18 @@ class Coordinator {
   const CoordinatorOptions& options() const { return options_; }
 
   /// Handle one POST /v1/workers/register: admit (or renew) the worker's
-  /// lease, journal the membership change (renewals are not journaled —
-  /// they would bloat the journal at heartbeat cadence and carry no ring
-  /// change), and count coord_registers. `lease_ms` <= 0 requests the
-  /// default TTL. Throws ApiError(503) under the "coord.register" fault
-  /// point — the wire a joining worker's jittered retry is drilled on.
+  /// lease and count coord_registers. `lease_ms` <= 0 requests the default
+  /// TTL. Throws ApiError(503) under the "coord.register" fault point — the
+  /// wire a joining worker's jittered retry is drilled on.
   WorkerPool::Registration register_worker(const HostPort& addr,
                                            std::int64_t lease_ms);
 
-  /// Handle one POST /v1/workers/deregister (graceful drain). Returns
-  /// false when the worker was not an alive member.
+  /// Handle one POST /v1/workers/deregister (graceful drain): depart the
+  /// worker, then wait — at most dispatch_timeout_ms — until every chunk
+  /// already routed to it has been answered. A draining worker keeps its
+  /// listener open until this returns, so no chunk lands on a closed port.
+  /// Returns false when the worker was not an alive member.
   bool deregister_worker(const HostPort& addr);
-
-  /// Rebuild the fleet from journaled sqzm1 events (standby takeover):
-  /// replays register/deregister/expire in append order, granting every
-  /// surviving member a fresh lease stamped now — a worker that is truly
-  /// gone simply fails to renew and expires a lease window later. Call
-  /// before start().
-  void replay_membership(
-      const std::vector<std::pair<std::string, std::string>>& events);
-
-  /// Journal a takeover event and count coord_takeovers (standby
-  /// promotion, serve/server.h).
-  void record_takeover(const std::string& standby_addr);
 
   /// Shard, dispatch, and merge one sweep. Blocking; safe to call from
   /// multiple connection handlers concurrently (each call dispatches its
@@ -135,15 +124,8 @@ class Coordinator {
                         SweepRunStats* stats);
 
  private:
-  /// Append one sqzm1 event; journal errors are logged, not fatal — a
-  /// missed event only costs the standby one lease window (the worker
-  /// re-registers via heartbeat).
-  void journal_membership(const std::string& addr, const char* event,
-                          std::int64_t lease_ms, std::uint64_t epoch);
-
   CoordinatorOptions options_;
   Metrics* metrics_;
-  core::SweepJournal* journal_;
   WorkerPool pool_;
 };
 

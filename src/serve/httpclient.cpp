@@ -5,6 +5,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -65,14 +66,26 @@ HttpResponse http_fetch(const std::string& host, int port, HttpRequest req,
                          "' (use a numeric IPv4 address or localhost)");
 
   Fd sock;
-  sock.fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sock.fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (sock.fd < 0) throw_fetch(FetchError::Kind::Connect, "http_fetch: socket");
-  if (::connect(sock.fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0)
-    throw_fetch(FetchError::Kind::Connect,
-                "http_fetch: connect to " + host + ":" + std::to_string(port));
+  // The deadline covers connect and send too: on Linux SO_SNDTIMEO bounds a
+  // blocking connect (EINPROGRESS when it lapses) as well as each send. A
+  // peer whose accept queue is full drops our SYNs, and without the bound
+  // connect would wait out the kernel's SYN retries (about two minutes).
+  const timeval tv{timeout_ms / 1000, (timeout_ms % 1000) * 1000};
+  ::setsockopt(sock.fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+  const std::string where = host + ":" + std::to_string(port);
+  if (::connect(sock.fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
+      0) {
+    if (errno == EINPROGRESS || errno == EAGAIN)
+      throw FetchError(FetchError::Kind::Timeout,
+                       "http_fetch: connect to " + where +
+                           " not completed within " +
+                           std::to_string(timeout_ms) + " ms");
+    throw_fetch(FetchError::Kind::Connect, "http_fetch: connect to " + where);
+  }
 
-  if (!req.header("Host"))
-    req.headers.emplace_back("Host", host + ":" + std::to_string(port));
+  if (!req.header("Host")) req.headers.emplace_back("Host", where);
   if (!req.header("Connection")) req.headers.emplace_back("Connection", "close");
 
   const std::string wire = req.serialize();
@@ -82,6 +95,11 @@ HttpResponse http_fetch(const std::string& host, int port, HttpRequest req,
                              MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK)
+        throw FetchError(FetchError::Kind::Timeout,
+                         "http_fetch: request to " + where +
+                             " not sent within " + std::to_string(timeout_ms) +
+                             " ms");
       throw_fetch(FetchError::Kind::Io, "http_fetch: send");
     }
     sent += static_cast<std::size_t>(n);

@@ -5,9 +5,11 @@
 // (serve/coordinator.h), and the worker-health prober
 // (serve/workerpool.h) — shares one transport with one retry discipline:
 //
-//   * http_fetch: connect, send one request, read one response, with a
-//     poll-based response deadline. Failures are classified (FetchError)
-//     so policy can tell a refused connection from a protocol violation.
+//   * http_fetch: connect, send one request, read one response. timeout_ms
+//     bounds the connect, each send and each wait for response bytes, so a
+//     peer that never accepts costs one timeout, not the kernel's SYN
+//     retries. Failures are classified (FetchError) so policy can tell a
+//     refused connection from a protocol violation.
 //   * http_fetch_retry: bounded retries with exponential backoff and
 //     decorrelated jitter (sleep_n = clamp(uniform[base, 3 * sleep_{n-1}],
 //     base, cap)), seeded so chaos tests see a deterministic sleep
@@ -59,8 +61,9 @@ struct HostPort {
 HostPort parse_host_port(const std::string& spec, const std::string& flag);
 
 /// Blocking client: connect to host:port (numeric IPv4 or "localhost"),
-/// send `req`, read one response. Throws FetchError on connect, I/O,
-/// timeout, or parse failure. The Host header is filled in if absent.
+/// send `req`, read one response. `timeout_ms` bounds the connect, each
+/// send and each wait for response bytes. Throws FetchError on connect,
+/// I/O, timeout, or parse failure. The Host header is filled in if absent.
 HttpResponse http_fetch(const std::string& host, int port, HttpRequest req,
                         int timeout_ms = 60000);
 

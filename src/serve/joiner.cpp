@@ -56,7 +56,8 @@ std::string Joiner::current_endpoint() const {
   return ep.host + ":" + std::to_string(ep.port);
 }
 
-bool Joiner::post_registration(const HostPort& coordinator, bool deregister) {
+bool Joiner::post_registration(const HostPort& coordinator, bool deregister,
+                               int timeout_ms) {
   std::string body;
   util::JsonWriter w(body, /*indent=*/0);
   w.begin_object();
@@ -71,7 +72,7 @@ bool Joiner::post_registration(const HostPort& coordinator, bool deregister) {
     req.headers.emplace_back("Content-Type", "application/json");
     req.body = std::move(body);
     const HttpResponse resp = http_fetch(coordinator.host, coordinator.port,
-                                         std::move(req), options_.timeout_ms);
+                                         std::move(req), timeout_ms);
     if (resp.status != 200) return false;
     if (!deregister) {
       // The coordinator may clamp or substitute the requested TTL; the
@@ -103,8 +104,8 @@ void Joiner::heartbeat_loop() {
       std::lock_guard<std::mutex> lock(mu_);
       ep = endpoint_;
     }
-    const bool ok = post_registration(options_.endpoints[ep],
-                                      /*deregister=*/false);
+    const bool ok = post_registration(
+        options_.endpoints[ep], /*deregister=*/false, options_.timeout_ms);
     std::int64_t sleep_ms;
     if (ok) {
       if (!joined_.exchange(true)) {
@@ -143,7 +144,7 @@ void Joiner::heartbeat_loop() {
   }
 }
 
-void Joiner::drain() {
+void Joiner::drain(int timeout_ms) {
   if (drained_.exchange(true)) return;
   stop();
   if (!joined_.load()) return;
@@ -152,7 +153,8 @@ void Joiner::drain() {
     std::lock_guard<std::mutex> lock(mu_);
     ep = endpoint_;
   }
-  if (post_registration(options_.endpoints[ep], /*deregister=*/true)) {
+  if (post_registration(options_.endpoints[ep], /*deregister=*/true,
+                        timeout_ms)) {
     if (metrics_) metrics_->record_worker_drain();
     SQZ_LOG(Info) << "joiner: deregistered from "
                   << options_.endpoints[ep].host << ":"

@@ -17,10 +17,11 @@
 // whole time — membership is about routing, not ability.
 //
 // Graceful drain: drain() stops the heartbeat and best-effort deregisters,
-// so a SIGTERM'd worker leaves the ring *before* its listener closes and
-// planned maintenance causes zero chunk requeues (the Server sequences
-// this in stop()). An unplanned death simply stops renewing; the lease
-// expires one TTL later.
+// so a SIGTERM'd worker leaves the ring *before* its listener closes. The
+// coordinator answers the deregister only once the chunks it routed here
+// have been answered, so planned maintenance causes zero chunk requeues
+// (the Server sequences this in stop()). An unplanned death simply stops
+// renewing; the lease expires one TTL later.
 #pragma once
 
 #include <atomic>
@@ -74,8 +75,10 @@ class Joiner {
 
   /// Graceful exit: stop heartbeating, then best-effort deregister from the
   /// coordinator that last accepted us (counted in worker_drains on
-  /// success). Safe to call more than once.
-  void drain();
+  /// success), waiting up to `timeout_ms` for its answer — the coordinator
+  /// holds it until chunks already routed here are answered. Safe to call
+  /// more than once.
+  void drain(int timeout_ms);
 
   bool joined() const { return joined_.load(); }
 
@@ -89,7 +92,8 @@ class Joiner {
   std::int64_t granted_lease_ms() const { return granted_lease_ms_.load(); }
 
  private:
-  bool post_registration(const HostPort& coordinator, bool deregister);
+  bool post_registration(const HostPort& coordinator, bool deregister,
+                         int timeout_ms);
   void heartbeat_loop();
 
   JoinerOptions options_;

@@ -119,8 +119,7 @@ Server::Server(const ServerOptions& options)
       coordinator_(!coordinator_mode(options) || !options.standby_of.empty()
                        ? nullptr
                        : std::make_unique<Coordinator>(options.coordinator,
-                                                       &metrics_,
-                                                       sweep_journal_.get())),
+                                                       &metrics_)),
       service_(&cache_, sweep_journal_.get(), plan_cache_.get(),
                coordinator_.get()) {
   if (!options.standby_of.empty()) {
@@ -150,7 +149,11 @@ void Server::start() {
     throw std::runtime_error("server: bad bind address '" + options_.host +
                              "' (numeric IPv4 required)");
 
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+  // Close-on-exec, here and on accepted connections: a process this one
+  // forks must not keep the listener open (its peers' connects would queue
+  // unanswered after stop()) nor a connection (its peer would never see
+  // the close).
+  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (listen_fd_ < 0)
     throw std::runtime_error(std::string("server: socket: ") +
                              std::strerror(errno));
@@ -204,38 +207,28 @@ void Server::start() {
 
   accept_thread_ = std::thread([this] { accept_loop(); });
 
-  // Standby role: watch the primary's /healthz; promote on its silence.
-  if (role_.load() == Role::Standby) {
-    {
-      std::lock_guard<std::mutex> lock(standby_mu_);
-      standby_stop_ = false;
-    }
+  // Standby role: stand by until the journal's writer lock is ours.
+  if (role_.load() == Role::Standby)
     standby_thread_ = std::thread([this] { standby_loop(); });
-  }
 }
 
 void Server::stop() {
   if (listen_fd_ < 0 && !accept_thread_.joinable()) return;
 
   // Graceful worker drain, sequenced for zero requeues on planned
-  // maintenance: deregister first (the coordinator stops routing new chunks
-  // here), give a beat for chunks routed just before the deregister landed
-  // to reach the listener, and only then stop accepting. In-flight chunks
-  // finish below under the ordinary connection drain.
-  if (joiner_) {
-    joiner_->drain();
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  }
+  // maintenance: deregister first. The coordinator stops routing new chunks
+  // here and answers only once the chunks it routed here before are
+  // answered (the deregister fence), so the listener may close right after.
+  // If no answer comes within the request timeout, stop anyway.
+  if (joiner_) joiner_->drain(options_.request_timeout_ms);
 
-  // Standby watcher: must be gone before teardown (it touches coordinator_).
   {
-    std::lock_guard<std::mutex> lock(standby_mu_);
-    standby_stop_ = true;
+    std::lock_guard<std::mutex> lock(stop_mu_);
+    stopping_.store(true);
   }
-  standby_cv_.notify_all();
+  stop_cv_.notify_all();
+  // Standby watcher: must be gone before teardown (it touches coordinator_).
   if (standby_thread_.joinable()) standby_thread_.join();
-
-  stopping_.store(true);
   if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
@@ -251,86 +244,49 @@ void Server::stop() {
   accepting_.store(false);
 }
 
+// The journal's writer lock is the election: each probe interval the
+// standby tries to open the journal, and promotes when that succeeds. The
+// lock is taken before a byte is read, so a refused attempt is cheap.
 void Server::standby_loop() {
-  const HostPort primary = parse_host_port(options_.standby_of, "--standby-of");
-  const int interval_ms = std::max(1, options_.coordinator.probe.interval_ms);
-  const int timeout_ms = options_.coordinator.probe.timeout_ms;
-  // The grace clock starts now: a standby booted against a primary that is
-  // already dead still waits out one takeover window before promoting.
-  std::int64_t last_ok_ms = WorkerPool::now_ms();
+  const auto interval = std::chrono::milliseconds(
+      std::max(1, options_.coordinator.probe.interval_ms));
   for (;;) {
     {
-      std::unique_lock<std::mutex> lock(standby_mu_);
-      if (standby_cv_.wait_for(lock, std::chrono::milliseconds(interval_ms),
-                               [this] { return standby_stop_; }))
+      std::unique_lock<std::mutex> lock(stop_mu_);
+      if (stop_cv_.wait_for(lock, interval,
+                            [this] { return stopping_.load(); }))
         return;
     }
-    // "coord.takeover" fault point: an armed shot fails this probe, so
-    // takeover drills can force promotion without killing a real primary.
-    bool ok = false;
-    if (!(util::fault::enabled() &&
-          util::fault::at("coord.takeover").kind ==
-              util::fault::Kind::Errno)) {
-      try {
-        HttpRequest req;
-        req.method = "GET";
-        req.target = "/healthz";
-        ok = http_fetch(primary.host, primary.port, std::move(req),
-                        timeout_ms)
-                 .status == 200;
-      } catch (const FetchError&) {
-        ok = false;
-      }
-    }
-    if (ok) {
-      last_ok_ms = WorkerPool::now_ms();
-      continue;
-    }
-    if (WorkerPool::now_ms() - last_ok_ms >
-        std::max<std::int64_t>(1, options_.standby_takeover_ms)) {
-      if (promote()) return;
-      // Refused: the primary still holds the journal's writer lock, so it
-      // is provably alive behind a partition (or the journal dir is
-      // broken). Either way promoting now would be split-brain — restart
-      // the grace clock and keep watching.
-      last_ok_ms = WorkerPool::now_ms();
-    }
+    if (promote()) return;
   }
 }
 
-// Standby -> Active. By the time this runs the primary has been silent for
-// a full takeover window. Opening the journal acquires its exclusive
-// writer lock, which is the split-brain fence: a primary that is merely
-// partitioned (alive, still appending) still holds the lock, the open
-// throws SweepJournalLocked, and this side stays a standby instead of
+// Standby -> Active. Opening the journal acquires its exclusive writer
+// lock. A live primary — serving, partitioned or hung — still holds it, the
+// open throws SweepJournalLocked, and this side stays a standby instead of
 // interleaving a second writer into the shared file. A dead primary's lock
-// died with it, so the open succeeds and this side becomes the single
-// writer. Everything the primary knew is replayed from the journal —
-// completed points byte-identically, membership into fresh leases (a
-// worker that is truly gone fails to renew and expires). Returns false
-// when promotion was refused.
+// died with its process, so the open succeeds and this side becomes the
+// single writer: completed points are served from the journal
+// byte-identically, and the fleet re-forms from the workers' heartbeats.
+// Returns false when promotion was refused.
 bool Server::promote() {
-  SQZ_LOG(Warn) << "server: primary " << options_.standby_of
-                << " silent for " << options_.standby_takeover_ms
-                << " ms; taking over as coordinator";
   try {
     sweep_journal_ =
         std::make_unique<core::SweepJournal>(options_.sweep_journal_dir);
-  } catch (const core::SweepJournalLocked& e) {
-    SQZ_LOG(Warn) << "server: takeover refused — " << e.what()
-                  << "; remaining standby";
-    return false;
+  } catch (const core::SweepJournalLocked&) {
+    return false;  // the primary lives
   } catch (const core::SweepJournalError& e) {
     SQZ_LOG(Error) << "server: takeover failed — " << e.what()
                    << "; remaining standby";
     return false;
   }
+  SQZ_LOG(Warn) << "server: journal lock acquired (primary "
+                << options_.standby_of
+                << " no longer holds it); taking over as coordinator";
   CoordinatorOptions copts = options_.coordinator;
-  copts.accept_registrations = true;  // inherit the primary's dynamic fleet
-  coordinator_ =
-      std::make_unique<Coordinator>(copts, &metrics_, sweep_journal_.get());
-  coordinator_->replay_membership(sweep_journal_->membership());
-  coordinator_->record_takeover(options_.host + ":" + std::to_string(port_));
+  copts.accept_registrations = true;  // the primary's joiners come here next
+  coordinator_ = std::make_unique<Coordinator>(copts, &metrics_);
+  metrics_.record_coord_takeover();
   coordinator_->start();
   service_ = SimService(&cache_, sweep_journal_.get(), plan_cache_.get(),
                         coordinator_.get());
@@ -367,7 +323,7 @@ void Server::accept_loop() {
       errno = a.err;
       fd = -1;
     } else {
-      fd = ::accept(listen_fd_, nullptr, nullptr);
+      fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
     }
     if (fd < 0) {
       // Out of descriptors (or memory): the listener stays healthy, but
@@ -375,10 +331,9 @@ void Server::accept_loop() {
       // Back off — pending connections wait in the backlog meanwhile.
       if (errno == EMFILE || errno == ENFILE || errno == ENOMEM) {
         metrics_.record_accept_backoff();
-        const auto wake = Clock::now() + std::chrono::milliseconds(backoff_ms);
-        while (!stopping_.load() && ms_until(wake) > 0)
-          std::this_thread::sleep_for(std::chrono::milliseconds(
-              std::min(kPollTickMs, ms_until(wake))));
+        std::unique_lock<std::mutex> lock(stop_mu_);
+        stop_cv_.wait_for(lock, std::chrono::milliseconds(backoff_ms),
+                          [this] { return stopping_.load(); });
         backoff_ms = std::min(backoff_ms * 2, kAcceptBackoffCapMs);
       }
       continue;

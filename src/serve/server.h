@@ -21,9 +21,10 @@
 // (serve/coordinator.h): /v1/sweep is sharded across the worker fleet
 // instead of simulating locally; /v1/simulate stays local. With
 // ServerOptions::standby_of set it boots as a *passive standby* of another
-// coordinator and promotes itself on the primary's death (see
-// ServerOptions::standby_of). With ServerOptions::joiner endpoints it is a
-// worker that self-registers into a coordinator's fleet (serve/joiner.h).
+// coordinator and promotes itself once it holds the shared journal's
+// writer lock (see ServerOptions::standby_of). With ServerOptions::joiner
+// endpoints it is a worker that self-registers into a coordinator's fleet
+// (serve/joiner.h).
 //
 // One accept thread; each connection is dispatched onto a server-owned
 // dispatch pool (see ServerOptions::dispatch_jobs), where the full
@@ -50,9 +51,11 @@
 // /metrics and exercised through util/faultinject sites "serve.accept",
 // "serve.recv", and "serve.send".
 //
-// stop() is a graceful drain: the listener closes first, in-flight
-// connections finish (idle keep-alive connections are closed at the next
-// poll tick), then stop() returns.
+// stop() is a graceful drain: a --join worker first deregisters, and its
+// coordinator answers only once the chunks it already routed here have
+// been answered (Coordinator::deregister_worker). Then the listener
+// closes, in-flight connections finish (idle keep-alive connections are
+// closed at the next poll tick), and stop() returns.
 #pragma once
 
 #include <atomic>
@@ -126,18 +129,18 @@ struct ServerOptions {
   JoinerOptions joiner;
 
   /// Standby coordinator (ARCHITECTURE.md "Dynamic membership & coordinator
-  /// HA"): non-empty = the primary coordinator's "host:port". The server
-  /// boots passive — /v1/simulate, /v1/sweep, and registrations answer 503
-  /// — watching the primary's /healthz and tailing the shared
-  /// sweep_journal_dir (required). When the primary misses probes for
-  /// longer than standby_takeover_ms, the standby opens the journal,
-  /// replays points and membership, and promotes itself to an active
-  /// coordinator; the resumed sweep is byte-identical. Promotion is fenced
-  /// by the journal's exclusive writer lock (core/sweepjournal.h): a
-  /// primary that is alive but partitioned still holds it, so the standby
-  /// refuses to promote rather than split-brain the shared journal.
+  /// HA"): non-empty = the primary coordinator's "host:port", reported on
+  /// /healthz and in the 503s. The server boots passive — /v1/simulate,
+  /// /v1/sweep, and registrations answer 503 — and every
+  /// coordinator.probe.interval_ms tries to open the shared
+  /// sweep_journal_dir (required). The journal's exclusive writer lock
+  /// (core/sweepjournal.h) is the election: a live primary, partitioned or
+  /// hung, holds it and the standby stays passive; once the primary's
+  /// process is gone the open succeeds and the standby promotes itself to
+  /// an active coordinator, serving the journaled points byte-identically.
+  /// Its fleet is its own coordinator.workers plus the --join workers, who
+  /// re-register with it at their next heartbeat.
   std::string standby_of;
-  std::int64_t standby_takeover_ms = 5000;
 };
 
 class Server {
@@ -183,12 +186,11 @@ class Server {
   void shed_connection(int fd);
   void handle_connection(int fd);
   HttpResponse route(const HttpRequest& request);
-  void standby_loop();  ///< Watch the primary; promote on lease expiry.
+  void standby_loop();  ///< Try promote() every probe interval.
 
   /// Standby -> Active: lock + open the journal, build the fleet. False =
-  /// refused (the primary still holds the journal's writer lock — alive
-  /// behind a partition — or the journal dir failed to open); the caller
-  /// keeps standing by.
+  /// refused (the primary still holds the journal's writer lock, or the
+  /// journal dir failed to open); the caller keeps standing by.
   bool promote();
 
   ServerOptions options_;
@@ -205,16 +207,17 @@ class Server {
   std::thread accept_thread_;
   std::unique_ptr<util::ThreadPool> dispatch_pool_;  ///< Lives start()..stop().
   std::atomic<bool> accepting_{false};
+  /// Written under stop_mu_, so stop_cv_ waiters (the standby loop, the
+  /// accept loop's EMFILE backoff) wake on it; read anywhere.
   std::atomic<bool> stopping_{false};
+  std::mutex stop_mu_;
+  std::condition_variable stop_cv_;
 
   /// Standby machinery. service_/sweep_journal_/coordinator_ are written by
   /// promote() and only read by handlers that have already observed
   /// Role::Active (the release store below is the publication barrier).
   std::atomic<Role> role_{Role::Active};
   std::thread standby_thread_;
-  std::mutex standby_mu_;
-  std::condition_variable standby_cv_;
-  bool standby_stop_ = false;  ///< Guarded by standby_mu_.
 
   std::mutex mu_;
   std::condition_variable drained_cv_;

@@ -223,8 +223,8 @@ WorkerPool::Registration WorkerPool::register_worker(const HostPort& addr,
   return r;
 }
 
-bool WorkerPool::deregister_worker(const HostPort& addr, std::int64_t now_ms,
-                                   std::uint64_t* epoch_out) {
+bool WorkerPool::deregister_worker(const HostPort& addr,
+                                   std::int64_t now_ms) {
   (void)now_ms;
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = index_.find(addr_key(addr));
@@ -233,7 +233,6 @@ bool WorkerPool::deregister_worker(const HostPort& addr, std::int64_t now_ms,
   rebuild_ring_locked();
   bump_epoch_locked();
   publish_gauges_locked();
-  if (epoch_out) *epoch_out = epoch_;
   return true;
 }
 
@@ -267,8 +266,17 @@ std::vector<std::string> WorkerPool::expire_leases(std::int64_t now_ms) {
       publish_gauges_locked();
     }
   }
-  if (!expired.empty() && expiry_cb_) expiry_cb_(expired);
   return expired;
+}
+
+bool WorkerPool::await_dispatches(const HostPort& addr,
+                                  std::int64_t timeout_ms) {
+  std::unique_lock<std::mutex> lock(mu_);
+  const auto it = index_.find(addr_key(addr));
+  if (it == index_.end()) return true;
+  const std::size_t w = it->second;
+  return reported_cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms),
+                               [&] { return members_[w].dispatches == 0; });
 }
 
 MemberCounts WorkerPool::member_counts() const {
@@ -308,6 +316,18 @@ std::vector<LeaseInfo> WorkerPool::lease_table(std::int64_t now_ms) const {
 int WorkerPool::route(std::uint64_t hash,
                       const std::vector<int>& exclude) const {
   std::lock_guard<std::mutex> lock(mu_);
+  return route_locked(hash, exclude);
+}
+
+int WorkerPool::acquire(std::uint64_t hash, const std::vector<int>& exclude) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const int w = route_locked(hash, exclude);
+  if (w >= 0) ++members_[static_cast<std::size_t>(w)].dispatches;
+  return w;
+}
+
+int WorkerPool::route_locked(std::uint64_t hash,
+                             const std::vector<int>& exclude) const {
   if (ring_.empty()) return -1;
   // First ring entry clockwise from `hash`, then walk; each distinct worker
   // is considered at most once, so the scan is bounded even when every arc
@@ -342,8 +362,12 @@ void WorkerPool::apply_result_locked(std::size_t worker, bool ok,
 }
 
 void WorkerPool::report(std::size_t worker, bool ok) {
-  std::lock_guard<std::mutex> lock(mu_);
-  apply_result_locked(worker, ok, now_ms());
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    apply_result_locked(worker, ok, now_ms());
+    if (members_[worker].dispatches > 0) --members_[worker].dispatches;
+  }
+  reported_cv_.notify_all();
 }
 
 bool WorkerPool::probe_worker(std::size_t worker) const {

@@ -49,7 +49,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -180,8 +179,7 @@ class WorkerPool {
 
   /// Graceful departure: remove the member's arcs from the ring. Returns
   /// false when the address is unknown or already departed.
-  bool deregister_worker(const HostPort& addr, std::int64_t now_ms,
-                         std::uint64_t* epoch_out = nullptr);
+  bool deregister_worker(const HostPort& addr, std::int64_t now_ms);
 
   /// Depart every leased member whose TTL has lapsed at `now_ms`; returns
   /// the departed addresses ("host:port"). The "coord.lease" fault point
@@ -190,13 +188,11 @@ class WorkerPool {
   /// directly with a synthetic clock.
   std::vector<std::string> expire_leases(std::int64_t now_ms);
 
-  /// Hook invoked (with no pool lock held) after each nonempty batch of
-  /// lease expirations — the coordinator journals sqzm1 expiry events from
-  /// it. Set before start(); not synchronized against the prober otherwise.
-  void set_expiry_callback(
-      std::function<void(const std::vector<std::string>&)> cb) {
-    expiry_cb_ = std::move(cb);
-  }
+  /// The deregister fence: wait until every dispatch acquire()d for `addr`
+  /// has been report()ed, or `timeout_ms` passes. Call after
+  /// deregister_worker, which stops new routes to the member. False on
+  /// timeout (an unknown address has nothing outstanding: true).
+  bool await_dispatches(const HostPort& addr, std::int64_t timeout_ms);
 
   MemberCounts member_counts() const;
   std::vector<LeaseInfo> lease_table(std::int64_t now_ms) const;
@@ -206,7 +202,13 @@ class WorkerPool {
   /// worker remains outside the exclusion set.
   int route(std::uint64_t hash, const std::vector<int>& exclude = {}) const;
 
-  /// Feed one dispatch outcome for `worker` into its state machine.
+  /// route() for a dispatch about to be sent: the chosen worker's count of
+  /// outstanding dispatches goes up in the same critical section, so a
+  /// deregistration either sees the dispatch or prevents the route.
+  int acquire(std::uint64_t hash, const std::vector<int>& exclude = {});
+
+  /// Feed one dispatch outcome for `worker` into its state machine and
+  /// retire one of its outstanding dispatches (see await_dispatches).
   void report(std::size_t worker, bool ok);
 
   /// One synchronous probe pass over every due alive worker (the prober
@@ -222,9 +224,11 @@ class WorkerPool {
     bool alive = true;
     std::int64_t lease_ms = 0;       ///< 0 = static, never expires.
     std::int64_t renewed_at_ms = 0;  ///< Last register/renewal.
+    int dispatches = 0;              ///< Acquired, not yet reported.
   };
 
   bool probe_worker(std::size_t worker) const;  ///< HTTP probe, fault-gated.
+  int route_locked(std::uint64_t hash, const std::vector<int>& exclude) const;
   void apply_result_locked(std::size_t worker, bool ok, std::int64_t now);
   std::size_t usable_count_locked() const;
   std::size_t add_member_locked(const HostPort& addr, std::int64_t lease_ms,
@@ -236,7 +240,6 @@ class WorkerPool {
 
   ProbePolicy policy_;
   Metrics* metrics_;
-  std::function<void(const std::vector<std::string>&)> expiry_cb_;
 
   struct RingEntry {
     std::uint64_t hash;
@@ -250,6 +253,7 @@ class WorkerPool {
   std::unordered_map<std::string, std::size_t> index_;  ///< "host:port"->slot.
   std::vector<RingEntry> ring_;  ///< Sorted by hash; rebuilt on churn.
   std::uint64_t epoch_ = 1;      ///< Guarded by mu_.
+  std::condition_variable reported_cv_;  ///< With mu_: a dispatch retired.
 
   std::thread prober_;
   std::mutex stop_mu_;

@@ -12,13 +12,13 @@
 //   util::fault::arm("simcache.write", util::fault::make_errno(ENOSPC), 3);
 //   ... the next three disk_put calls behave as if the disk were full ...
 //
-// Sites are ad-hoc strings named at the call site. The membership/HA drills
-// (serve/workerpool.h, serve/server.h) add "coord.register" (refuse a
-// worker registration), "coord.lease" (force-expire one lease), and
-// "coord.takeover" (fail a standby's primary probe) alongside the older
-// serve/coordinator sites ("coord.health", "coord.dispatch", "coord.steal")
-// and the I/O sites ("serve.accept", "serve.recv", "serve.send",
-// "simcache.*", "sweepjournal.append", "dse.point").
+// Sites are ad-hoc strings named at the call site. The membership drills
+// (serve/workerpool.h, serve/coordinator.h) add "coord.register" (refuse a
+// worker registration) and "coord.lease" (force-expire one lease)
+// alongside the older serve/coordinator sites ("coord.health",
+// "coord.dispatch", "coord.steal") and the I/O sites ("serve.accept",
+// "serve.recv", "serve.send", "simcache.*", "sweepjournal.append",
+// "dse.point").
 //
 // Env spec (parsed once at process start):
 //   SQZ_FAULT="site=kind[:arg][*times][;site=...]"

@@ -10,9 +10,12 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
+#include "core/cli.h"
 #include "util/faultinject.h"
 #include "util/hash.h"
 
@@ -363,27 +366,34 @@ std::string framed_record(const char* magic, const std::string& key,
   return header + key + value;
 }
 
-TEST(SweepJournal, MembershipEventsRoundTripInAppendOrder) {
+TEST(SweepJournal, LegacyMembershipRecordsAreCountedAndIgnored) {
+  // Earlier builds' coordinators appended sqzm1 fleet-membership events
+  // between the points. This build writes none, but still knows the type:
+  // such records count as records, are not skipped with a warning, and
+  // leave the points intact.
   const std::string dir = fresh_dir("membership");
   {
     SweepJournal j(dir);
-    j.append_membership("10.0.0.1:7070", "{\"event\":\"register\"}");
     j.append("point-a", "{\"cycles\":1}");
-    j.append_membership("10.0.0.2:7070", "{\"event\":\"register\"}");
-    j.append_membership("10.0.0.1:7070", "{\"event\":\"expire\"}");
+  }
+  const std::string path = SweepJournal::journal_path(dir);
+  std::ofstream(path, std::ios::binary | std::ios::app)
+      << framed_record("sqzm1", "10.0.0.1:7070", "{\"event\":\"register\"}")
+      << framed_record("sqzm1", "10.0.0.1:7070", "{\"event\":\"expire\"}")
+      << framed_record("sqzw1", "point-b", "{\"cycles\":2}");
+  {
+    SweepJournal j(dir);
+    EXPECT_FALSE(j.recovery().torn);
+    EXPECT_EQ(j.recovery().records, 4u);
+    EXPECT_EQ(j.recovery().skipped, 0u);
+    ASSERT_EQ(j.entries().size(), 2u);
+    EXPECT_EQ(j.find("point-b").value_or(""), "{\"cycles\":2}");
+    EXPECT_FALSE(j.find("10.0.0.1:7070").has_value());
+    j.append("point-c", "{\"cycles\":3}");
   }
   SweepJournal j(dir);
-  EXPECT_FALSE(j.recovery().torn);
-  EXPECT_EQ(j.recovery().records, 4u);
-  EXPECT_EQ(j.recovery().skipped, 0u);
-  // Points and membership land in separate views; membership keeps append
-  // order (replay order is the lease table's semantics).
-  EXPECT_EQ(j.entries().size(), 1u);
-  ASSERT_EQ(j.membership().size(), 3u);
-  EXPECT_EQ(j.membership()[0].first, "10.0.0.1:7070");
-  EXPECT_EQ(j.membership()[0].second, "{\"event\":\"register\"}");
-  EXPECT_EQ(j.membership()[1].first, "10.0.0.2:7070");
-  EXPECT_EQ(j.membership()[2].second, "{\"event\":\"expire\"}");
+  EXPECT_EQ(j.recovery().records, 5u);
+  EXPECT_EQ(j.entries().size(), 3u);
 }
 
 TEST(SweepJournal, UnknownRecordTypeIsSkippedNotFatal) {
@@ -455,7 +465,6 @@ TEST(SweepJournal, GoldenPreMembershipJournalReplaysUnchanged) {
     EXPECT_FALSE(j.recovery().torn);
     EXPECT_EQ(j.recovery().records, 3u);
     EXPECT_EQ(j.recovery().skipped, 0u);
-    EXPECT_TRUE(j.membership().empty());
     ASSERT_EQ(j.entries().size(), 2u);
     // The golden journal re-records rf=16;pe=4; later duplicate wins.
     EXPECT_EQ(j.entries().at("rf=16;pe=4"),
@@ -463,15 +472,46 @@ TEST(SweepJournal, GoldenPreMembershipJournalReplaysUnchanged) {
     EXPECT_EQ(j.entries().at("rf=32;pe=8"),
               "{\"cycles\":512,\"energy_pj\":5.25}");
 
-    // A post-membership build appends sqzm1 records to the same file: the
-    // mixed journal replays both views intact.
-    j.append_membership("10.0.0.9:7070", "{\"event\":\"register\"}");
   }
+  // A membership-era build appended sqzm1 records to the same file: the
+  // mixed journal still replays every point, and skips nothing.
+  std::ofstream(SweepJournal::journal_path(dir),
+                std::ios::binary | std::ios::app)
+      << framed_record("sqzm1", "10.0.0.9:7070", "{\"event\":\"register\"}");
   SweepJournal j2(dir);
   EXPECT_EQ(j2.recovery().records, 4u);
+  EXPECT_EQ(j2.recovery().skipped, 0u);
   EXPECT_EQ(j2.entries().size(), 2u);
-  ASSERT_EQ(j2.membership().size(), 1u);
-  EXPECT_EQ(j2.membership()[0].first, "10.0.0.9:7070");
+}
+
+TEST(SweepJournal, MembershipEraJournalResumesItsPointsByteIdentically) {
+  // tests/data/membership_era.sqzj was written by a build whose
+  // coordinators journaled fleet membership: `sqzsim --model tinydarknet
+  // --sweep rf_entries=2,4` and then `rf_entries=2,4,8`, both with
+  // --journal --resume, and around them six sqzm1 records (register,
+  // expire, takeover) appended by that build's Coordinator. This build
+  // counts those records, skips none, and resumes the three points.
+  const std::string dir = fresh_dir("membership_era");
+  fs::create_directories(dir);
+  fs::copy_file(std::string(SQZ_TEST_DATA_DIR) + "/membership_era.sqzj",
+                SweepJournal::journal_path(dir));
+  {
+    SweepJournal j(dir);
+    EXPECT_FALSE(j.recovery().torn);
+    EXPECT_EQ(j.recovery().records, 9u);
+    EXPECT_EQ(j.recovery().skipped, 0u);
+    EXPECT_EQ(j.entries().size(), 3u);
+  }
+
+  std::vector<std::string> args = {"--model", "tinydarknet", "--sweep",
+                                   "rf_entries=2,4,8,16"};
+  std::ostringstream plain, plain_err;
+  ASSERT_EQ(run_cli(args, plain, plain_err), 0) << plain_err.str();
+  args.insert(args.end(), {"--journal", dir, "--resume"});
+  std::ostringstream out, err;
+  ASSERT_EQ(run_cli(args, out, err), 0) << err.str();
+  EXPECT_EQ(out.str(), plain.str());
+  EXPECT_EQ(err.str(), "sqzsim: resumed 3 completed points\n");
 }
 
 }  // namespace

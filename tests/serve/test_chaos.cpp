@@ -17,8 +17,10 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "serve/http.h"
 #include "serve/server.h"
@@ -225,6 +227,55 @@ TEST_F(Chaos, AcceptEmfileBacksOffAndThenServes) {
   EXPECT_EQ(attempts, 1) << "backlog absorbs an accept stall; no retry";
   EXPECT_EQ(util::fault::hits("serve.accept"), 2u);
   EXPECT_GE(server.metrics().snapshot().accept_backoff_total, 2u);
+}
+
+TEST_F(Chaos, FetchDeadlineCoversAConnectThatIsNeverAccepted) {
+  // A listener whose accept queue is full and never drained (a SIGSTOPped
+  // worker, say): the kernel drops further SYNs, so a connect that only a
+  // response deadline bounds would wait out the SYN retries, minutes.
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), len), 0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  ::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len);
+  const int port = ntohs(addr.sin_port);
+
+  // Fill the queue: connect until a handshake no longer completes.
+  std::vector<int> fillers;
+  bool full = false;
+  for (int i = 0; i < 16 && !full; ++i) {
+    fillers.push_back(::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0));
+    ::connect(fillers.back(), reinterpret_cast<sockaddr*>(&addr), len);
+    pollfd p{fillers.back(), POLLOUT, 0};
+    full = ::poll(&p, 1, 200) == 0;
+  }
+  ASSERT_TRUE(full) << "the accept queue never filled";
+
+  // On a thread, so a connect that hangs fails this test instead of
+  // hanging it: closing the listener lets the next SYN retry be refused.
+  std::promise<std::string> outcome;
+  std::future<std::string> done = outcome.get_future();
+  const auto t0 = Clock::now();
+  std::thread fetcher([&outcome, port] {
+    try {
+      http_fetch("127.0.0.1", port, simulate_request(), /*timeout_ms=*/200);
+      outcome.set_value("answered");
+    } catch (const FetchError& e) {
+      outcome.set_value(e.retryable() ? "retryable" : "not retryable");
+    }
+  });
+  const bool finished =
+      done.wait_for(std::chrono::seconds(3)) == std::future_status::ready;
+  const auto elapsed = Clock::now() - t0;
+  for (const int fd : fillers) ::close(fd);
+  ::close(listener);
+  fetcher.join();
+  ASSERT_TRUE(finished) << "http_fetch(..., 200) still connecting after 3 s";
+  EXPECT_EQ(done.get(), "retryable");
+  EXPECT_LT(elapsed, std::chrono::seconds(1));
 }
 
 TEST_F(Chaos, RecvStallDelaysButStillServes) {

@@ -23,8 +23,10 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <deque>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -204,10 +206,10 @@ class CoordinatorDrill : public ::testing::Test {
     return w;
   }
 
-  std::vector<Proc> workers_;
+  std::deque<Proc> workers_;  ///< A deque: spawning keeps references valid.
 };
 
-ServerOptions coord_options(const std::vector<Proc>& workers) {
+ServerOptions coord_options(const std::deque<Proc>& workers) {
   ServerOptions opt;
   opt.port = 0;
   for (const Proc& w : workers)
@@ -705,6 +707,56 @@ TEST_F(CoordinatorDrill, GracefulDrainMidSweepRequeuesNothing) {
   EXPECT_GE(h.at("membership").at("epoch").as_int(), 3);
 }
 
+TEST_F(CoordinatorDrill, DrainFenceHoldsTheDeregisterUntilRoutedChunksLand) {
+  // The victim joins first and is the only member, so the run's first two
+  // dispatches are routed to it. "coord.steal" then holds both before they
+  // connect, the survivor joins, and the victim is SIGTERMed while the two
+  // chunks are still on their way. The victim's deregister must not be
+  // answered — so its listener must not close — until both have landed.
+  ServerOptions opt;
+  opt.port = 0;
+  opt.coordinator.accept_registrations = true;
+  opt.coordinator.probe.interval_ms = 100;
+  opt.coordinator.chunk_points = 2;
+  opt.coordinator.straggler_ms = 30000;   // a steal would mask a requeue
+  opt.coordinator.dispatch_attempts = 1;  // a closed listener requeues
+  Server coord(opt);
+  coord.start();
+  const std::string join = "127.0.0.1:" + std::to_string(coord.port());
+
+  Proc& victim = spawn_worker("", {"--join", join, "--lease-ms", "2000"});
+  ASSERT_TRUE(eventually([&] { return healthy_workers(coord.port()) == 1; }));
+
+  util::fault::arm("coord.steal", util::fault::make_stall(1500), 2);
+  HttpResponse r;
+  std::thread poster([&] { r = post_sweep(coord.port(), kSweepBody); });
+  // No fatal asserts while the poster is unjoined (see the drain drill).
+  const bool held = eventually(
+      [&] { return util::fault::hits("coord.steal") == 2; });
+  const auto stalled_at = Clock::now();
+
+  spawn_worker("", {"--join", join, "--lease-ms", "2000"});  // the survivor
+  const bool joined =
+      eventually([&] { return healthy_workers(coord.port()) == 2; });
+  const bool in_stall =
+      Clock::now() - stalled_at < std::chrono::milliseconds(1500);
+  stop_gracefully(victim);
+  poster.join();
+  EXPECT_TRUE(held) << "the first dispatches never reached the stall";
+  EXPECT_TRUE(joined) << "the survivor never joined";
+  EXPECT_TRUE(in_stall) << "the SIGTERM landed after the stall: no fence";
+
+  ASSERT_EQ(r.status, 200) << r.body;
+  EXPECT_EQ(r.body, local_golden(kSweepBody));
+  const Metrics::Snapshot m = coord.metrics().snapshot();
+  EXPECT_EQ(m.coord_points_requeued, 0u)
+      << "a chunk routed before the deregister found the listener closed";
+  EXPECT_EQ(m.coord_steals, 0u);
+  const util::JsonValue h =
+      util::parse_json(get(coord.port(), "/healthz").body);
+  EXPECT_EQ(h.at("membership").at("workers").at("departed").as_int(), 1);
+}
+
 TEST_F(CoordinatorDrill, ForcedLeaseExpiryEvictsAndHeartbeatRejoins) {
   spawn_worker();  // static: keeps the sweep serviceable through the eviction
   ServerOptions opt = coord_options(workers_);
@@ -753,7 +805,6 @@ TEST_F(CoordinatorDrill, StandbyTakesOverAfterPrimarySigkill) {
   sopt.port = 0;
   sopt.standby_of = "127.0.0.1:" + std::to_string(primary.port);
   sopt.sweep_journal_dir = dir.string();
-  sopt.standby_takeover_ms = 600;
   sopt.coordinator.probe.interval_ms = 100;
   sopt.coordinator.chunk_points = 1;
   sopt.coordinator.straggler_ms = 10000;
@@ -789,8 +840,7 @@ TEST_F(CoordinatorDrill, StandbyTakesOverAfterPrimarySigkill) {
     }
   });
 
-  // Wait for at least one *completed point* (sqzw1) in the shared journal —
-  // membership records (sqzm1) land at registration, long before any point.
+  // Wait for at least one *completed point* (sqzw1) in the shared journal.
   // The kill and the join come before any fatal assert so the poster thread
   // can never be destroyed joinable.
   const fs::path journal = dir / "sweep.sqzj";
@@ -802,12 +852,13 @@ TEST_F(CoordinatorDrill, StandbyTakesOverAfterPrimarySigkill) {
   fs::remove(primary.out);
   ASSERT_TRUE(journaled) << "no journaled point before the deadline";
 
-  // The standby notices the silence and promotes itself — exactly once.
+  // The journal lock died with the primary; the standby's next attempt
+  // takes it and promotes — exactly once.
   ASSERT_TRUE(eventually([&] { return !standby.standby(); }, 15))
       << "standby never took over";
   EXPECT_EQ(standby.metrics().snapshot().coord_takeovers, 1u);
 
-  // Replayed membership (plus the workers' rotating heartbeats) hands the
+  // The workers' heartbeats, rotating away from the dead primary, hand the
   // new coordinator the fleet.
   ASSERT_TRUE(
       eventually([&] { return healthy_workers(standby.port()) == 2; }, 15));
@@ -827,47 +878,53 @@ TEST_F(CoordinatorDrill, StandbyTakesOverAfterPrimarySigkill) {
 }
 
 TEST_F(CoordinatorDrill, PartitionedStandbyRefusesTakeoverWhilePrimaryLives) {
-  // The split-brain fence: a standby that cannot reach the primary must NOT
-  // promote while the primary is alive and holding the journal's writer
-  // lock — two concurrent writers would interleave appends and corrupt the
-  // shared journal both sides recover from.
+  // The split-brain fence: the journal's writer lock is the election. A
+  // live primary holds it, so the standby stays passive however long it
+  // waits and whether or not it can reach the primary — two concurrent
+  // writers would interleave appends and corrupt the shared journal both
+  // sides recover from. No fault is armed: the lock alone decides.
   const fs::path dir = fs::temp_directory_path() /
                        ("sqz_ha_partition_" + std::to_string(::getpid()));
   fs::remove_all(dir);
 
-  // A live in-process primary holding the journal's writer lock throughout.
+  // A live in-process primary holding the journal's writer lock.
   ServerOptions popt;
   popt.port = 0;
   popt.sweep_journal_dir = dir.string();
-  Server primary(popt);
-  primary.start();
+  auto primary = std::make_unique<Server>(popt);
+  primary->start();
 
   ServerOptions sopt;
   sopt.port = 0;
-  sopt.standby_of = "127.0.0.1:" + std::to_string(primary.port());
+  sopt.standby_of = "127.0.0.1:" + std::to_string(primary->port());
   sopt.sweep_journal_dir = dir.string();
-  sopt.standby_takeover_ms = 300;
   sopt.coordinator.probe.interval_ms = 100;
   Server standby(sopt);
   standby.start();
   ASSERT_TRUE(standby.standby());
 
-  // "Partition": the coord.takeover fault fails every probe the standby
-  // sends, far past the takeover window. Each promotion attempt finds the
-  // journal locked by the live primary and is refused.
-  util::fault::arm("coord.takeover", util::fault::make_errno(ETIMEDOUT), 200);
+  // Fifteen probe intervals: every promotion attempt finds the lock held.
   std::this_thread::sleep_for(std::chrono::milliseconds(1500));
   EXPECT_TRUE(standby.standby()) << "standby promoted into split-brain";
   EXPECT_EQ(standby.metrics().snapshot().coord_takeovers, 0u);
-  util::fault::reset();
 
-  // The partition heals: the standby goes back to passive watching, and
-  // the primary — sole writer all along — still journals cleanly.
-  std::this_thread::sleep_for(std::chrono::milliseconds(400));
-  EXPECT_TRUE(standby.standby());
-  const HttpResponse r = post_sweep(primary.port(), kSweepBody);
+  // The primary, sole writer all along, journals cleanly.
+  const HttpResponse r = post_sweep(primary->port(), kSweepBody);
   ASSERT_EQ(r.status, 200) << r.body;
   EXPECT_EQ(r.body, local_golden(kSweepBody));
+
+  // A graceful stop releases the lock with the primary (as its process
+  // exit would): the standby promotes exactly once, onto the primary's
+  // six journaled points.
+  primary->stop();
+  primary.reset();
+  ASSERT_TRUE(eventually([&] { return !standby.standby(); }, 15))
+      << "standby never took over";
+  EXPECT_EQ(standby.metrics().snapshot().coord_takeovers, 1u);
+  const util::JsonValue h =
+      util::parse_json(get(standby.port(), "/healthz").body);
+  EXPECT_EQ(h.at("membership").at("role").as_string(), "coordinator");
+  EXPECT_EQ(h.at("journal").at("recovered_records").as_int(), 6);
   fs::remove_all(dir);
 }
 

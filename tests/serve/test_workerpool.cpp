@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "serve/workerpool.h"
@@ -315,10 +316,6 @@ TEST(WorkerPoolMembership, LeaseLapseDepartsTheWorker) {
   pool.register_worker(addrs[1], 200, /*now_ms=*/0);
   const std::uint64_t epoch = pool.epoch();
 
-  std::vector<std::string> observed;
-  pool.set_expiry_callback(
-      [&](const std::vector<std::string>& e) { observed = e; });
-
   // Inside the TTL: nothing lapses. A renewal pushes the window out.
   EXPECT_TRUE(pool.expire_leases(150).empty());
   pool.register_worker(addrs[1], 200, /*now_ms=*/150);
@@ -329,7 +326,6 @@ TEST(WorkerPoolMembership, LeaseLapseDepartsTheWorker) {
   ASSERT_EQ(expired.size(), 1u);
   EXPECT_EQ(expired[0],
             addrs[1].host + ":" + std::to_string(addrs[1].port));
-  EXPECT_EQ(observed, expired);
   EXPECT_EQ(pool.epoch(), epoch + 1);
   EXPECT_EQ(pool.member_count(), 1u);
   EXPECT_EQ(pool.member_counts().departed, 1u);
@@ -351,8 +347,8 @@ TEST(WorkerPoolMembership, RejoinAfterDepartureGetsAFreshStateMachine) {
   for (int i = 0; i < 3; ++i) pool.report(0, false);
   EXPECT_EQ(pool.health(0), WorkerHealth::Ejected);
 
-  std::uint64_t epoch_after_drain = 0;
-  EXPECT_TRUE(pool.deregister_worker(w, 100, &epoch_after_drain));
+  EXPECT_TRUE(pool.deregister_worker(w, 100));
+  const std::uint64_t epoch_after_drain = pool.epoch();
   EXPECT_EQ(pool.member_count(), 0u);
   // Double-deregister is a no-op, not a new epoch.
   EXPECT_FALSE(pool.deregister_worker(w, 110));
@@ -399,6 +395,35 @@ TEST(WorkerPoolMembership, GracefulDeregisterMovesOnlyTheDrainedArcs) {
       EXPECT_EQ(now, w) << "a survivor's shard must not move";
     }
   }
+}
+
+TEST(WorkerPoolMembership, DeregisterFenceWaitsForAcquiredDispatches) {
+  const std::vector<HostPort> addrs = fleet(1);
+  WorkerPool pool(addrs, test_policy());
+  // Two dispatches routed before the departure; the departure stops any
+  // further route to the member.
+  ASSERT_EQ(pool.acquire(7), 0);
+  ASSERT_EQ(pool.acquire(8), 0);
+  ASSERT_TRUE(pool.deregister_worker(addrs[0], 0));
+  EXPECT_EQ(pool.acquire(9), -1);
+
+  // The fence holds while either is outstanding, and times out if they
+  // never report.
+  EXPECT_FALSE(pool.await_dispatches(addrs[0], 20));
+  pool.report(0, true);
+  EXPECT_FALSE(pool.await_dispatches(addrs[0], 20));
+
+  // The last report releases a waiter without waiting out its timeout.
+  std::thread reporter([&] { pool.report(0, true); });
+  EXPECT_TRUE(pool.await_dispatches(addrs[0], 60000));
+  reporter.join();
+
+  // A plain route() counts nothing, and an unknown address has nothing
+  // outstanding.
+  WorkerPool other(addrs, test_policy());
+  ASSERT_EQ(other.route(7), 0);
+  EXPECT_TRUE(other.await_dispatches(addrs[0], 0));
+  EXPECT_TRUE(other.await_dispatches(HostPort{"10.0.0.9", 7070}, 0));
 }
 
 TEST(WorkerPoolMembership, CoordLeaseFaultForceExpiresAFreshLease) {

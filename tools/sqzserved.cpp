@@ -4,30 +4,21 @@
 // GET /healthz and /metrics, with a content-addressed result cache so
 // repeated design points never re-simulate. SIGINT/SIGTERM shut down
 // gracefully: the listener closes first and in-flight requests drain.
-#include <atomic>
+#include <pthread.h>
+#include <signal.h>
+
 #include <cerrno>
-#include <chrono>
-#include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "serve/server.h"
 #include "util/threadpool.h"
 
 namespace {
-
-// Async-signal-safe shutdown latch; the main thread polls it. A lock-free
-// atomic: the signal may land on any thread, and only an atomic orders the
-// handler's store before the main thread's load.
-std::atomic<bool> g_stop{false};
-static_assert(std::atomic<bool>::is_always_lock_free);
-
-void on_signal(int) { g_stop.store(true); }
 
 const char* kUsage =
     "usage: sqzserved [options]\n"
@@ -73,16 +64,17 @@ const char* kUsage =
     "                     (tried round-robin) and heartbeat-renew the lease;\n"
     "                     SIGTERM deregisters before exit (graceful drain)\n"
     "  --lease-ms N       worker: lease TTL requested on --join (default\n"
-    "                     5000). standby: silence window before takeover.\n"
-    "                     coordinator: default TTL for registrations that\n"
-    "                     omit one\n"
-    "  --standby-of H:P   standby coordinator: boot passive, watch the\n"
-    "                     primary's /healthz, and take over its sweeps and\n"
-    "                     fleet from the shared --sweep-journal (required)\n"
-    "                     when the primary goes silent for --lease-ms.\n"
-    "                     Takeover is refused while a live (partitioned)\n"
-    "                     primary still holds the journal's writer lock\n"
-    "  --probe-interval-ms N  worker /healthz probe period (default 500)\n"
+    "                     5000). coordinator: default TTL for registrations\n"
+    "                     that omit one\n"
+    "  --standby-of H:P   standby coordinator for the primary at H:P: boot\n"
+    "                     passive and take over its sweeps from the shared\n"
+    "                     --sweep-journal (required) as soon as the primary's\n"
+    "                     process is gone and its writer lock with it\n"
+    "                     (checked every --probe-interval-ms). --join workers\n"
+    "                     re-register at their next heartbeat. A restarted\n"
+    "                     primary must itself come back with --standby-of\n"
+    "  --probe-interval-ms N  worker /healthz probe period, and how often a\n"
+    "                     standby tries the journal lock (default 500)\n"
     "  --worker-fail-threshold N  consecutive failures that eject a worker\n"
     "                     from the ring (default 3)\n"
     "  --probation-ms N   delay before an ejected worker gets a trial probe\n"
@@ -102,9 +94,8 @@ struct Options {
 };
 
 // Milliseconds, not thread counts: ThreadPool::parse_jobs caps at 1<<20
-// (~17 minutes), but --lease-ms doubles as the standby takeover window,
-// where multi-hour silences are a legitimate operator choice. Accepts any
-// positive integer up to 10 years.
+// (~17 minutes), but a lease of hours is a legitimate operator choice.
+// Accepts any positive integer up to 10 years.
 std::int64_t parse_ms(const std::string& v, const char* flag) {
   constexpr long long kMaxMs = 315360000000LL;  // 10 years
   if (v.empty() || v.find_first_not_of("0123456789") != std::string::npos)
@@ -219,13 +210,11 @@ Options parse_args(const std::vector<std::string>& args) {
           sqz::util::ThreadPool::parse_jobs(value_of(i), "--straggler-ms");
     else throw std::invalid_argument("unknown argument: " + a);
   }
-  // --lease-ms is one knob, three roles: the TTL a --join worker asks for,
-  // the default TTL a coordinator grants, and the primary-silence window a
-  // standby waits out before takeover.
+  // --lease-ms is one knob, two roles: the TTL a --join worker asks for and
+  // the default TTL a coordinator grants.
   if (lease_ms > 0) {
     opt.server.joiner.lease_ms = lease_ms;
     opt.server.coordinator.default_lease_ms = lease_ms;
-    opt.server.standby_takeover_ms = lease_ms;
   }
   return opt;
 }
@@ -233,6 +222,14 @@ Options parse_args(const std::vector<std::string>& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // SIGINT/SIGTERM are blocked before any thread starts, so every thread
+  // inherits the mask and only the sigwait below ever takes them.
+  sigset_t stop_signals;
+  sigemptyset(&stop_signals);
+  sigaddset(&stop_signals, SIGINT);
+  sigaddset(&stop_signals, SIGTERM);
+  pthread_sigmask(SIG_BLOCK, &stop_signals, nullptr);
+
   const std::vector<std::string> args(argv + 1, argv + argc);
   try {
     const Options opt = parse_args(args);
@@ -264,16 +261,13 @@ int main(int argc, char** argv) {
                   opt.server.joiner.endpoints.size(),
                   static_cast<long long>(opt.server.joiner.lease_ms));
     if (!opt.server.standby_of.empty())
-      std::printf("sqzserved standing by for %s (takeover after %lld ms "
-                  "silence)\n",
-                  opt.server.standby_of.c_str(),
-                  static_cast<long long>(opt.server.standby_takeover_ms));
+      std::printf("sqzserved standing by for %s (takeover once its journal "
+                  "lock is free)\n",
+                  opt.server.standby_of.c_str());
     std::fflush(stdout);
 
-    std::signal(SIGINT, on_signal);
-    std::signal(SIGTERM, on_signal);
-    while (!g_stop.load())
-      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    int sig = 0;
+    sigwait(&stop_signals, &sig);
 
     std::printf("sqzserved: draining in-flight requests...\n");
     server.stop();
